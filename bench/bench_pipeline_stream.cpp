@@ -9,12 +9,12 @@
 //    SIMD PHMM sweeps.
 //
 // A second section measures drain scaling: the same SAM-heavy workload at
-// several thread counts, formatted the legacy way (inside the drain,
-// config.format_in_drain) versus in the mapper workers (the PR 9 output
-// path, where the drain only splices bytes).  SAM goes to a byte-counting
+// several thread counts, formatted in the mapper workers so the ordered
+// drain only splices bytes (DESIGN.md §12).  SAM goes to a byte-counting
 // null stream so rendering cost is measured without disk noise.  The split
 // timings (format_seconds / splice_seconds) land in BENCH_pipeline.json;
-// the refactor's claim is splice << the legacy drain at high thread counts.
+// the claim is that splice stays a sliver of the run at every thread
+// count.
 //
 // Emits BENCH_pipeline.json (reads/sec, peak RSS, in-flight peak per run)
 // next to the table it prints.  Peak RSS is VmHWM from /proc/self/status,
@@ -173,9 +173,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Drain scaling: who pays for output formatting? ---------------------
-  // SAM rendering (with per-record Viterbi) dominates the drain; the legacy
-  // shape serializes it behind one thread, the worker shape leaves only the
-  // byte splice there.
+  // SAM rendering (with per-record Viterbi) is the expensive part of
+  // output; the workers pay it, leaving only the byte splice on the drain.
   std::printf("\ndrain scaling (SAM to null sink, %.2f Mbp genome)\n",
               static_cast<double>(genome_bp) / 1e6);
   std::printf("%-8s %-13s %9s %9s %10s %10s %12s\n", "threads", "mode",
@@ -189,32 +188,29 @@ int main(int argc, char** argv) {
 
   std::vector<DrainRun> drain_runs;
   for (const int t : {1, 2, 4, 8}) {
-    for (const bool worker_format : {false, true}) {
-      PipelineConfig drain_config = bench::default_pipeline_config();
-      drain_config.threads = t;
-      drain_config.min_parallel_reads = 0;  // staged path at every size
-      drain_config.format_in_drain = !worker_format;
+    PipelineConfig drain_config = bench::default_pipeline_config();
+    drain_config.threads = t;
+    drain_config.min_parallel_reads = 0;  // staged path at every size
 
-      CountingNullBuf null_buf;
-      std::ostream sam_sink(&null_buf);
-      Timer timer;
-      const auto result = run_pipeline_with_accumulator(
-          drain_w.reference, drain_w.reads, drain_config, nullptr, &sam_sink);
-      DrainRun run;
-      run.threads = t;
-      run.mode = worker_format ? "worker-format" : "legacy-drain";
-      run.reads = drain_w.reads.size();
-      run.seconds = timer.seconds();
-      run.format_seconds = result.format_seconds;
-      run.splice_seconds = result.splice_seconds;
-      run.output_bytes = result.output_bytes;
-      std::printf("%-8d %-13s %8.2fs %9.0f %9.3fs %9.3fs %9.1f MB\n", t,
-                  run.mode.c_str(), run.seconds,
-                  static_cast<double>(run.reads) / run.seconds,
-                  run.format_seconds, run.splice_seconds,
-                  static_cast<double>(run.output_bytes) / (1024.0 * 1024.0));
-      drain_runs.push_back(run);
-    }
+    CountingNullBuf null_buf;
+    std::ostream sam_sink(&null_buf);
+    Timer timer;
+    const auto result = run_pipeline_with_accumulator(
+        drain_w.reference, drain_w.reads, drain_config, nullptr, &sam_sink);
+    DrainRun run;
+    run.threads = t;
+    run.mode = "worker-format";
+    run.reads = drain_w.reads.size();
+    run.seconds = timer.seconds();
+    run.format_seconds = result.format_seconds;
+    run.splice_seconds = result.splice_seconds;
+    run.output_bytes = result.output_bytes;
+    std::printf("%-8d %-13s %8.2fs %9.0f %9.3fs %9.3fs %9.1f MB\n", t,
+                run.mode.c_str(), run.seconds,
+                static_cast<double>(run.reads) / run.seconds,
+                run.format_seconds, run.splice_seconds,
+                static_cast<double>(run.output_bytes) / (1024.0 * 1024.0));
+    drain_runs.push_back(run);
   }
 
   std::ofstream json("BENCH_pipeline.json");

@@ -3,9 +3,15 @@
 // Loads the reference and builds the hash index once, then serves MAP
 // requests over a framed TCP protocol (src/gnumap/serve/wire.hpp) until
 // stopped.  Results are byte-identical to gnumap_snp_cli on the same
-// reads: both run the identical MappingSession.
+// reads: both run the identical MappingSession.  With --route the same
+// server is a router over shard daemons (fleet/router.hpp): it loads only
+// the genome, builds no index, fans each request out to the shards, and
+// answers byte-identically to a single daemon.  Every option below applies
+// to a router as well.
 //
 //   gnumapd --ref genome.fa [options]
+//   gnumapd --index genome.gidx [options]
+//   gnumapd --route HOST:PORT[,HOST:PORT...] --ref genome.fa [options]
 //
 // Options:
 //   --port N            TCP port (default 0 = pick an ephemeral port)
@@ -56,7 +62,6 @@
 
 #include "gnumap/fleet/index_file.hpp"
 #include "gnumap/fleet/registry.hpp"
-#include "gnumap/fleet/router.hpp"
 #include "gnumap/io/fasta.hpp"
 #include "gnumap/obs/obs_cli.hpp"
 #include "gnumap/serve/server.hpp"
@@ -69,7 +74,6 @@ using namespace gnumap;
 namespace {
 
 std::atomic<serve::MappingServer*> g_server{nullptr};
-std::atomic<fleet::RouterServer*> g_router{nullptr};
 
 // Only lock-free atomic ops on the drain path: store to g_server happens
 // before the handlers are installed, and request_stop() is a relaxed
@@ -82,11 +86,6 @@ void drain_handler(int sig) {
   auto* server = g_server.load(std::memory_order_acquire);
   if (server != nullptr && !server->stopping()) {
     server->request_stop();
-    return;
-  }
-  auto* router = g_router.load(std::memory_order_acquire);
-  if (router != nullptr && !router->stopping()) {
-    router->request_stop();
     return;
   }
   obs::flush_cli_outputs();
@@ -113,9 +112,9 @@ fleet::GenomeSpec parse_genome_spec(const std::string& value) {
   return spec;
 }
 
-/// "HOST:PORT" (host optional, defaults to loopback) → ShardBackend.
-fleet::ShardBackend parse_backend(const std::string& value) {
-  fleet::ShardBackend backend;
+/// "HOST:PORT" (host optional, defaults to loopback) → ShardAddress.
+serve::ShardAddress parse_shard_address(const std::string& value) {
+  serve::ShardAddress backend;
   const auto colon = value.rfind(':');
   if (colon == std::string::npos) {
     backend.port = static_cast<std::uint16_t>(parse_u64(value));
@@ -133,6 +132,9 @@ fleet::ShardBackend parse_backend(const std::string& value) {
                "usage: %s --ref genome.fa [options]\n"
                "       %s --index genome.gidx [options]\n"
                "       %s --route HOST:PORT[,HOST:PORT...] --ref genome.fa\n"
+               "  --route LIST         serve as a router over these shard\n"
+               "                       daemons (no index is built; every\n"
+               "                       option below applies to a router too)\n"
                "  --genome ID=PATH     additional registry genome (repeatable;\n"
                "                       PATH is a FASTA or a gnumap_index file)\n"
                "  --memory-budget N    registry resident-bytes budget (0 = off)\n"
@@ -163,7 +165,6 @@ int main(int argc, char** argv) {
   std::string ref_path, port_file, admin_port_file;
   std::string index_path;
   std::vector<fleet::GenomeSpec> extra_genomes;
-  std::vector<fleet::ShardBackend> route_backends;
   int shard_index = -1;
   int shard_count = 0;
   std::uint32_t shard_max_read_len = 512;
@@ -224,7 +225,9 @@ int main(int argc, char** argv) {
               list.substr(start, comma == std::string::npos
                                      ? std::string::npos
                                      : comma - start);
-          if (!one.empty()) route_backends.push_back(parse_backend(one));
+          if (!one.empty()) {
+            options.route_shards.push_back(parse_shard_address(one));
+          }
           if (comma == std::string::npos) break;
           start = comma + 1;
         }
@@ -315,56 +318,36 @@ int main(int argc, char** argv) {
     }
     set_log_level(quiet ? LogLevel::kWarn : LogLevel::kInfo);
 
-    // Router mode: scatter/gather over backend shards.  The genome is
-    // needed only for SAM headers and SNP calling — no index is built.
-    if (!route_backends.empty()) {
-      if (shard_index >= 0) {
-        usage(argv[0], "--route and --shard are mutually exclusive");
-      }
-      std::unique_ptr<fleet::LoadedIndex> loaded;
-      std::optional<Genome> fasta_genome;
-      const Genome* genome = nullptr;
-      if (!index_path.empty()) {
-        loaded = std::make_unique<fleet::LoadedIndex>(
-            fleet::load_index_file(index_path));
-        genome = &loaded->genome;
-      } else if (!ref_path.empty()) {
-        fasta_genome.emplace(genome_from_fasta_file(ref_path));
-        genome = &*fasta_genome;
-      } else {
-        usage(argv[0], "router mode needs --ref or --index for the genome");
-      }
-      fleet::RouterOptions ropt;
-      ropt.port = options.port;
-      ropt.bind_any = options.bind_any;
-      ropt.io_timeout_ms = options.io_timeout_ms;
-      ropt.max_frame_bytes = options.max_frame_bytes;
-      ropt.backends = route_backends;
-      fleet::RouterServer router(*genome, config, ropt);
-      if (!port_file.empty()) {
-        std::ofstream out(port_file);
-        if (!out) throw ParseError("cannot write port file: " + port_file);
-        out << router.port() << "\n";
-      }
-      g_router.store(&router, std::memory_order_release);
-      std::signal(SIGINT, drain_handler);
-      std::signal(SIGTERM, drain_handler);
-      router.run();
-      g_router.store(nullptr, std::memory_order_release);
-      GNUMAP_LOG(kInfo) << "gnumapd: router drained";
-      obs::flush_cli_outputs();
-      return 0;
-    }
-
     options.shard_index = shard_index;
     options.shard_count = shard_count;
     options.shard_max_read_len = shard_max_read_len;
 
-    // Registry mode whenever an index file or extra genomes are involved;
-    // the plain --ref path stays on the legacy eager constructor.
+    // Router mode: the genome is needed only for SAM records and SNP
+    // calling, so an index file contributes its genome and nothing is
+    // built.  Registry mode whenever an index file or extra genomes are
+    // involved; the plain --ref path stays on the eager single-genome
+    // constructor.
+    std::unique_ptr<fleet::LoadedIndex> route_index;
     std::optional<Genome> reference;
     std::unique_ptr<serve::MappingServer> server;
-    if (!index_path.empty() || !extra_genomes.empty()) {
+    if (!options.route_shards.empty()) {
+      if (shard_index >= 0 || !extra_genomes.empty()) {
+        usage(argv[0], "--route serves one genome; it excludes --shard and "
+                       "--genome");
+      }
+      const Genome* genome = nullptr;
+      if (!index_path.empty()) {
+        route_index = std::make_unique<fleet::LoadedIndex>(
+            fleet::load_index_file(index_path));
+        genome = &route_index->genome;
+      } else if (!ref_path.empty()) {
+        reference.emplace(genome_from_fasta_file(ref_path));
+        genome = &*reference;
+      } else {
+        usage(argv[0], "router mode needs --ref or --index for the genome");
+      }
+      server = std::make_unique<serve::MappingServer>(*genome, config, options);
+    } else if (!index_path.empty() || !extra_genomes.empty()) {
       std::vector<fleet::GenomeSpec> specs;
       if (!index_path.empty() || !ref_path.empty()) {
         fleet::GenomeSpec def;

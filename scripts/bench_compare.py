@@ -11,7 +11,7 @@ Guards two throughput surfaces in CI:
 * Pipeline (--pipeline): a fresh BENCH_pipeline.json (written by
   bench_pipeline_stream) is compared on ``reads_per_sec``, covering both
   the monolithic-vs-streaming ``runs`` rows and the ``drain_scaling`` rows
-  (threads x legacy-drain/worker-format).
+  (one worker-format row per thread count).
 
 * Fleet startup (--startup): the JSON written by ``gnumap_index
   --startup-json`` is gated on its own two timings, no committed baseline:

@@ -18,7 +18,11 @@
 # a daemon from it, require byte-identical output and a >=10x
 # load-vs-rebuild speedup via bench_compare.py --startup), and a
 # scatter/gather router over two shard daemons whose output must be
-# byte-identical to the single daemon's.
+# byte-identical to the single daemon's.  The router is the same server
+# as the daemon, so it runs with its admin endpoint too: /metrics must
+# count the routed request, /statusz must list the shards, and /tracez
+# must split the request's time across shards and merge.  A
+# GNUMAP_WIRE_FAULT_PLAN reaches the router and the shards alike.
 #
 #   serve_smoke.sh SIM_CLI SNP_CLI GNUMAPD GNUMAP_CLIENT WORKDIR [GNUMAP_INDEX]
 set -eu
@@ -213,10 +217,14 @@ if [ -n "$INDEX_CLI" ]; then
 
   "$GNUMAPD" --ref "$WORK/sim/reference.fa" \
     --route "127.0.0.1:$(cat "$WORK/shard0_port"),127.0.0.1:$(cat "$WORK/shard1_port")" \
-    --port-file "$WORK/router_port" > "$WORK/router.log" 2>&1 &
+    --port-file "$WORK/router_port" \
+    --admin-port 0 --admin-port-file "$WORK/router_admin_port" \
+    > "$WORK/router.log" 2>&1 &
   ROUTER_PID=$!
   EXTRA_PIDS="$EXTRA_PIDS $ROUTER_PID"
   wait_port "$WORK/router_port" "$ROUTER_PID" "router"
+  [ -s "$WORK/router_admin_port" ] \
+    || fail "router did not write its --admin-port-file"
 
   "$CLIENT" --port-file "$WORK/router_port" --reads "$WORK/sim/reads.fastq" \
     --out "$WORK/routed.tsv" --sam "$WORK/routed.sam" \
@@ -226,6 +234,38 @@ if [ -n "$INDEX_CLI" ]; then
     || fail "router TSV differs from the single daemon"
   cmp "$WORK/served.sam" "$WORK/routed.sam" \
     || fail "router SAM differs from the single daemon"
+
+  if command -v python3 > /dev/null 2>&1; then
+    python3 - "$(cat "$WORK/router_admin_port")" <<'EOF' \
+      || fail "router admin endpoint validation failed"
+import json, sys, urllib.request
+
+base = f"http://127.0.0.1:{sys.argv[1]}"
+metrics = urllib.request.urlopen(f"{base}/metrics", timeout=10).read().decode()
+assert any(
+    line.startswith("gnumap_serve_requests_total ")
+    and float(line.split()[1]) >= 1
+    for line in metrics.splitlines()
+), "router /metrics does not count the routed request"
+
+status = json.load(urllib.request.urlopen(f"{base}/statusz", timeout=10))
+assert len(status["router"]["shards"]) == 2, status
+assert status["counters"]["requests_total"] >= 1, status
+
+tracez = json.load(urllib.request.urlopen(f"{base}/tracez", timeout=10))
+slowest = tracez["slowest_recent_requests"]
+assert slowest and slowest[0]["router_shards"] == 2, tracez
+for key in ("shard_seconds_max", "fanout_wait_seconds", "merge_seconds"):
+    assert slowest[0][key] > 0, (key, slowest[0])
+print("serve_smoke: router admin endpoint OK")
+EOF
+  else
+    echo "serve_smoke: python3 not found, skipping router admin checks" >&2
+  fi
+
+  "$CLIENT" --port-file "$WORK/router_port" --shutdown \
+    || fail "router SHUTDOWN failed"
+  wait "$ROUTER_PID" || fail "router exited nonzero after drain"
 
   kill_all
   EXTRA_PIDS=

@@ -83,9 +83,9 @@ struct PipelineConfig {
   /// against scheduling overhead.
   std::uint32_t stream_batch = 256;
   /// Decoded batches the decode->map queue may hold; with the reorder
-  /// window this bounds peak in-flight read memory at about
-  /// 2 * (queue_depth + threads) * stream_batch reads, independent of
-  /// dataset size.
+  /// window this bounds peak in-flight read memory at
+  /// in_flight_bound_reads(config) (pipeline.hpp), independent of dataset
+  /// size.
   std::uint32_t queue_depth = 4;
   /// Inputs smaller than this run on the serial in-line path even when
   /// threads > 1 (spinning up the staged pipeline costs more than mapping a
@@ -101,12 +101,6 @@ struct PipelineConfig {
   /// (queue_depth + threads) average-sized SAM chunks, 1 MiB floor); the
   /// in-order chunk is always admitted, so any value is deadlock-free.
   std::uint64_t output_buffer_bytes = 0;
-  /// Legacy output path: keep formatting (SAM rendering + accumulation
-  /// scaling) inside the single ordered drain instead of the mapper
-  /// workers.  Output is byte-identical either way; this exists as the A/B
-  /// baseline for the drain-scaling bench and the equivalence tests, not as
-  /// a supported mode.
-  bool format_in_drain = false;
 };
 
 /// Counters describing one mapping run.

@@ -43,10 +43,9 @@ struct PipelineResult {
   std::uint64_t accum_memory_bytes = 0;
   std::uint64_t index_memory_bytes = 0;
   /// High-water mark of reads resident in the mapping stage (decoded but
-  /// not yet drained).  On the streaming path this is bounded by
-  /// (2 * (queue_depth + threads) + 1) * stream_batch whatever the dataset
-  /// size; the bound is asserted in tests/test_stream.cpp and reported by
-  /// bench/bench_pipeline_stream.
+  /// not yet drained).  Never above in_flight_bound_reads(config), whatever
+  /// the dataset size; the bound is asserted in tests/test_stream.cpp and
+  /// reported by bench/bench_pipeline_stream.
   std::uint64_t reads_in_flight_peak = 0;
   std::uint64_t batches_decoded = 0;
   /// Per-stage wall-clock totals for the mapping phase, feeding the serve
@@ -58,9 +57,8 @@ struct PipelineResult {
   /// output rendering (SAM bytes + accumulator-delta scaling), summed
   /// across workers like map_stage_seconds; splice_seconds is what is left
   /// on the single ordered drain (byte splicing + replaying accumulator
-  /// adds).  With config.format_in_drain both land in splice_seconds, which
-  /// is then the former drain_seconds.  drain_seconds() is kept as the sum
-  /// for wire/digest compatibility.  Pure observers: timing adds no
+  /// adds).  drain_seconds() is kept as the sum for wire/digest
+  /// compatibility.  Pure observers: timing adds no
   /// synchronization to the staged pipeline beyond one addition per batch
   /// per stage.
   double decode_seconds = 0.0;
@@ -73,6 +71,13 @@ struct PipelineResult {
   /// here — this is bytes that reach a sink).
   std::uint64_t output_bytes = 0;
 };
+
+/// The most reads the mapping stage holds at once (decoded but not yet
+/// drained) for `config`: (2 * (queue_depth + threads) + 1) * stream_batch,
+/// each factor floored at 1.  The staged pipeline enforces it with one
+/// batch credit per decoded batch (session.cpp), and serve admission
+/// reserves it per request (DESIGN.md §9, §10).
+std::uint64_t in_flight_bound_reads(const PipelineConfig& config);
 
 /// Runs the full pipeline over a read stream (the primary entry point).
 /// The accumulator covers the whole padded genome.  Optionally returns the

@@ -1,46 +1,39 @@
 #include "gnumap/fleet/router.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <map>
 #include <optional>
-#include <streambuf>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gnumap/accum/accumulator.hpp"
 #include "gnumap/core/read_mapper.hpp"
 #include "gnumap/core/sam_export.hpp"
 #include "gnumap/core/snp_caller.hpp"
 #include "gnumap/fleet/partials.hpp"
-#include "gnumap/io/quality.hpp"
-#include "gnumap/io/read_stream.hpp"
+#include "gnumap/fleet/registry.hpp"
 #include "gnumap/io/sam.hpp"
-#include "gnumap/io/snp_writer.hpp"
+#include "gnumap/obs/json_util.hpp"
 #include "gnumap/serve/client.hpp"
 #include "gnumap/util/error.hpp"
-#include "gnumap/util/log.hpp"
 #include "gnumap/util/timer.hpp"
 
 namespace gnumap::fleet {
 
+using serve::BusyReply;
 using serve::decode_busy;
 using serve::decode_error;
 using serve::decode_hello;
-using serve::encode_busy;
-using serve::encode_error;
 using serve::encode_hello;
 using serve::encode_map_begin;
 using serve::Frame;
 using serve::FrameType;
-using serve::kChunkBytes;
-using serve::kFlagPhred64;
 using serve::kFlagShardPartials;
-using serve::kFlagWantSam;
-using serve::kMinProtocolVersion;
 using serve::kProtocolVersion;
 using serve::MapBeginInfo;
+using serve::MapRequest;
 using serve::read_frame;
+using serve::ShardAddress;
 using serve::Socket;
 using serve::WireError;
 using serve::WireErrorCode;
@@ -48,65 +41,8 @@ using serve::write_frame;
 
 namespace {
 
-std::string u64_kv(const char* key, std::uint64_t value) {
-  return std::string(key) + "=" + std::to_string(value) + "\n";
-}
-
-std::string dbl_kv(const char* key, double value) {
-  return std::string(key) + "=" + std::to_string(value) + "\n";
-}
-
-/// One live backend connection for the duration of a MAP request.
-struct ShardConn {
-  ShardBackend backend;
-  Socket sock;
-  std::string label;  ///< "host:port" for error messages
-};
-
-/// istream adapter over the client's READS_CHUNK frames, mirroring the
-/// single daemon's pull model: a chunk is read off the socket only when
-/// the FASTQ decoder wants more bytes, so backpressure reaches the client.
-class ChunkSourceBuf final : public std::streambuf {
- public:
-  ChunkSourceBuf(Socket& sock, const RouterOptions& options, bool& saw_end,
-                 std::uint64_t& upload_bytes)
-      : sock_(sock),
-        options_(options),
-        saw_end_(saw_end),
-        upload_bytes_(upload_bytes) {}
-
- protected:
-  int_type underflow() override {
-    if (saw_end_) return traits_type::eof();
-    std::optional<Frame> frame = read_frame(
-        sock_, options_.max_frame_bytes, options_.io_timeout_ms);
-    if (!frame.has_value()) {
-      throw WireError(WireErrorCode::kClosed,
-                      "client disconnected mid-request");
-    }
-    if (frame->type == FrameType::kMapEnd) {
-      saw_end_ = true;
-      return traits_type::eof();
-    }
-    if (frame->type != FrameType::kReadsChunk) {
-      throw WireError(WireErrorCode::kProtocol,
-                      "expected READS_CHUNK or MAP_END, got type " +
-                          std::to_string(static_cast<int>(frame->type)));
-    }
-    upload_bytes_ += frame->payload.size();
-    chunk_ = std::move(frame->payload);
-    if (chunk_.empty()) return underflow();
-    setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
-    return traits_type::to_int_type(chunk_.front());
-  }
-
- private:
-  Socket& sock_;
-  const RouterOptions& options_;
-  bool& saw_end_;
-  std::uint64_t& upload_bytes_;
-  std::string chunk_;
-};
+/// The one genome id a router holds.
+constexpr const char* kRouterGenomeId = "default";
 
 /// Merges the per-shard candidate lists of one read, truncates to
 /// max_candidates in seeder order, and returns the surviving ScoredSites.
@@ -137,435 +73,331 @@ std::vector<ScoredSite> merge_read_candidates(
   return sites;
 }
 
-}  // namespace
-
-RouterServer::RouterServer(const Genome& genome, const PipelineConfig& config,
-                           const RouterOptions& options)
-    : genome_(genome),
-      config_(config),
-      options_(options),
-      listener_(std::make_unique<serve::Listener>(options.port,
-                                                  options.bind_any)) {
-  require(!options_.backends.empty(), "router needs at least one backend");
-  GNUMAP_LOG(kInfo) << "gnumapd-router: " << options_.backends.size()
-                    << " shard backend(s), genome " << genome_.num_bases()
-                    << " bases, listening on port " << listener_->port();
+std::string label(const ShardAddress& shard) {
+  return shard.host + ":" + std::to_string(shard.port);
 }
 
-RouterServer::~RouterServer() {
-  request_stop();
-  wait();
-}
+struct FanoutBackend;
 
-std::uint16_t RouterServer::port() const { return listener_->port(); }
+/// One live backend connection for the duration of a MAP request.
+struct ShardConn {
+  std::string label;  ///< "host:port" for error messages
+  Socket sock;
+};
 
-void RouterServer::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void RouterServer::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(conn_threads_);
+/// One routed request: the scatter setup before MAP_GO, then the per-batch
+/// fan-out, merge and epilogue.
+class FanoutJob final : public serve::MapJob {
+ public:
+  explicit FanoutJob(const FanoutBackend& backend) : backend_(backend) {
+    genome_id = kRouterGenomeId;
   }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
+
+  std::optional<BusyReply> prepare(MapRequest& request) override;
+  PipelineResult run(MapRequest& request) override;
+
+ private:
+  /// The shard's next frame, within the request's deadline; an ERROR or a
+  /// closed connection becomes a typed WireError naming the shard.
+  Frame reply(ShardConn& shard, MapRequest& request, const char* waiting_for);
+  /// Sends one frame to a shard under the io timeout.
+  void send(ShardConn& shard, MapRequest& request, FrameType type,
+            std::string_view payload);
+
+  const FanoutBackend& backend_;
+  std::vector<ShardConn> shards_;
+  double fanout_wait_seconds_ = 0.0;
+};
+
+struct FanoutBackend final : serve::MapBackend {
+  FanoutBackend(const Genome& genome_in, const PipelineConfig& config_in,
+                const serve::ServeOptions& options)
+      : genome(genome_in),
+        config(config_in),
+        shards(options.route_shards),
+        io_timeout_ms(options.io_timeout_ms),
+        max_frame_bytes(options.max_frame_bytes) {
+    require(!shards.empty(), "router needs at least one shard");
   }
-}
 
-void RouterServer::run() {
-  start();
-  wait();
-}
-
-void RouterServer::request_stop() {
-  stopping_.store(true, std::memory_order_relaxed);
-}
-
-void RouterServer::accept_loop() {
-  while (!stopping()) {
-    std::optional<Socket> sock = listener_->accept(200, &stopping_);
-    if (!sock.has_value()) continue;
-    const int conn_id =
-        next_conn_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    conn_threads_.emplace_back(
-        [this, s = std::move(*sock), conn_id]() mutable {
-          handle_connection(std::move(s), conn_id);
-        });
+  std::unique_ptr<serve::MapJob> open(const MapBeginInfo& begin) override {
+    // Resolve the id the way a daemon does: the router renders SAM and
+    // calls SNPs against its one genome, so scores the shards computed on
+    // any other genome would come back rendered against the wrong one.
+    if (!begin.genome_id.empty() && begin.genome_id != kRouterGenomeId) {
+      throw UnknownGenomeError("unknown genome id \"" + begin.genome_id +
+                               "\" (this router serves \"" +
+                               kRouterGenomeId + "\")");
+    }
+    return std::make_unique<FanoutJob>(*this);
   }
-}
 
-void RouterServer::send_error(Socket& sock, WireErrorCode code,
-                              const std::string& msg) {
+  std::string banner() const override {
+    return "gnumapd-router shards=" + std::to_string(shards.size()) +
+           " genome_bases=" + std::to_string(genome.num_bases());
+  }
+
+  std::string stats_lines() const override {
+    return "router_shards=" + std::to_string(shards.size()) +
+           "\ngenome_bases=" + std::to_string(genome.num_bases()) + "\n";
+  }
+
+  std::string statusz_members() const override {
+    std::string out = "  \"session\": {\"genome_bases\": " +
+                      std::to_string(genome.num_bases()) +
+                      ", \"threads\": " + std::to_string(config.threads) +
+                      ", \"stream_batch\": " +
+                      std::to_string(config.stream_batch) + "},\n";
+    out += "  \"router\": {\"shards\": [";
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += obs::detail::json_string(label(shards[i]));
+    }
+    out += "]},\n";
+    return out;
+  }
+
+  const Genome& genome;
+  const PipelineConfig config;
+  const std::vector<ShardAddress> shards;
+  const int io_timeout_ms;
+  const std::uint32_t max_frame_bytes;
+};
+
+Frame FanoutJob::reply(ShardConn& shard, MapRequest& request,
+                       const char* waiting_for) {
+  Timer wait;
+  std::optional<Frame> frame;
   try {
-    write_frame(sock, FrameType::kError, encode_error(code, msg),
-                options_.io_timeout_ms);
-  } catch (const WireError&) {
-    // Best effort: the peer may already be gone.
+    frame = read_frame(shard.sock, backend_.max_frame_bytes,
+                       request.wait_budget_ms(), request.cancel());
+  } catch (const WireError& e) {
+    fanout_wait_seconds_ += wait.seconds();
+    if (e.code() == WireErrorCode::kShuttingDown) throw;  // watchdog cancel
+    // When the request's deadline was the bound, report (and count) that.
+    if (e.code() == WireErrorCode::kTimeout) request.wait_budget_ms();
+    throw WireError(e.code(), "shard " + shard.label + " (waiting for " +
+                                  waiting_for + "): " + e.what());
   }
+  fanout_wait_seconds_ += wait.seconds();
+  if (!frame.has_value()) {
+    throw WireError(WireErrorCode::kClosed, "shard " + shard.label +
+                                                " closed while the router "
+                                                "waited for " +
+                                                waiting_for);
+  }
+  if (frame->type == FrameType::kError) {
+    const auto [code, msg] = decode_error(frame->payload);
+    // A shard abandons on the deadline the router forwarded, which started
+    // later than the router's own: report (and count) the router's.
+    if (code == WireErrorCode::kTimeout) request.wait_budget_ms();
+    throw WireError(code, "shard " + shard.label + ": " + msg);
+  }
+  return std::move(*frame);
 }
 
-void RouterServer::handle_connection(Socket sock, int conn_id) {
-  try {
-    std::optional<Frame> hello =
-        read_frame(sock, options_.max_frame_bytes, options_.io_timeout_ms);
-    if (!hello.has_value() || hello->type != FrameType::kHello) {
-      return;
-    }
-    const auto [version, client_name] = decode_hello(hello->payload);
-    if (version < kMinProtocolVersion) {
-      send_error(sock, WireErrorCode::kBadVersion,
-                 "unsupported protocol version " + std::to_string(version));
-      return;
-    }
-    const std::uint16_t agreed =
-        std::min<std::uint16_t>(version, kProtocolVersion);
-    write_frame(sock, FrameType::kHelloOk,
-                encode_hello(agreed,
-                             "gnumapd-router shards=" +
-                                 std::to_string(options_.backends.size()) +
-                                 " genome_bases=" +
-                                 std::to_string(genome_.num_bases())),
-                options_.io_timeout_ms);
-    GNUMAP_LOG(kDebug) << "router: conn " << conn_id << " handshake ok ("
-                       << client_name << ", v" << agreed << ")";
-
-    for (;;) {
-      std::optional<Frame> frame;
-      try {
-        frame = read_frame(sock, options_.max_frame_bytes, /*timeout_ms=*/0,
-                           &stopping_);
-      } catch (const WireError& e) {
-        if (e.code() == WireErrorCode::kShuttingDown) {
-          send_error(sock, e.code(), "router is draining");
-        } else if (e.code() != WireErrorCode::kClosed) {
-          send_error(sock, e.code(), e.what());
-        }
-        return;
-      }
-      if (!frame.has_value()) return;  // clean disconnect
-
-      switch (frame->type) {
-        case FrameType::kMapBegin: {
-          const MapBeginInfo begin = serve::decode_map_begin(frame->payload);
-          const std::uint64_t req_id =
-              next_req_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (!handle_map(sock, begin, conn_id, req_id)) return;
-          break;
-        }
-        case FrameType::kStats: {
-          std::string text;
-          text += u64_kv("protocol_version", kProtocolVersion);
-          text += u64_kv("router_shards", options_.backends.size());
-          text += u64_kv("genome_bases", genome_.num_bases());
-          write_frame(sock, FrameType::kStatsOk, text,
-                      options_.io_timeout_ms);
-          break;
-        }
-        case FrameType::kHealth: {
-          std::string text;
-          text += std::string("ready=") + (stopping() ? "0" : "1") + "\n";
-          text += u64_kv("router_shards", options_.backends.size());
-          write_frame(sock, FrameType::kHealthOk, text,
-                      options_.io_timeout_ms);
-          break;
-        }
-        case FrameType::kShutdown:
-          write_frame(sock, FrameType::kShutdownOk, "",
-                      options_.io_timeout_ms);
-          request_stop();
-          return;
-        default:
-          send_error(sock, WireErrorCode::kProtocol,
-                     "unexpected frame type " +
-                         std::to_string(static_cast<int>(frame->type)));
-          return;
-      }
-    }
-  } catch (const std::exception& e) {
-    GNUMAP_LOG(kWarn) << "router: conn " << conn_id
-                      << " terminated: " << e.what();
-  }
+void FanoutJob::send(ShardConn& shard, MapRequest& request, FrameType type,
+                     std::string_view payload) {
+  write_frame(shard.sock, type, payload, backend_.io_timeout_ms,
+              request.cancel());
 }
 
-bool RouterServer::handle_map(Socket& sock, const MapBeginInfo& begin,
-                              int conn_id, std::uint64_t req_id) {
-  const std::string who = "[router conn " + std::to_string(conn_id) +
-                          " req " + std::to_string(req_id) + "] ";
-  const bool want_sam = (begin.flags & kFlagWantSam) != 0;
-  const int phred_offset =
-      (begin.flags & kFlagPhred64) != 0 ? kPhred64 : kPhred33;
+[[noreturn]] void unexpected(const ShardConn& shard, const Frame& frame,
+                             const char* answering) {
+  throw WireError(WireErrorCode::kProtocol,
+                  "shard " + shard.label + " answered frame type " +
+                      std::to_string(static_cast<int>(frame.type)) + " to " +
+                      answering);
+}
+
+std::optional<BusyReply> FanoutJob::prepare(MapRequest& request) {
+  const MapBeginInfo& begin = request.begin();
   if ((begin.flags & kFlagShardPartials) != 0) {
-    send_error(sock, WireErrorCode::kProtocol,
-               who + "a router cannot serve shard partials itself");
-    return false;
+    throw WireError(WireErrorCode::kProtocol,
+                    "a router cannot serve shard partials itself");
   }
-  const std::string genome_id =
-      begin.genome_id.empty() ? options_.genome_id : begin.genome_id;
-
-  Timer request_timer;
-
   // Scatter setup: connect, handshake, and MAP_BEGIN every shard before
   // anything is promised to the client.  A BUSY from any shard aborts the
-  // whole fan-out (largest retry hint wins) with the connection left open;
-  // nothing has been uploaded yet, so the client's retry is free.
-  std::vector<ShardConn> shards;
-  shards.reserve(options_.backends.size());
-  try {
-    for (const ShardBackend& backend : options_.backends) {
-      ShardConn conn;
-      conn.backend = backend;
-      conn.label = backend.host + ":" + std::to_string(backend.port);
-      conn.sock = serve::connect_tcp(backend.host, backend.port,
-                                     options_.io_timeout_ms);
-      write_frame(conn.sock, FrameType::kHello,
-                  encode_hello(kProtocolVersion, "gnumapd-router"),
-                  options_.io_timeout_ms);
-      std::optional<Frame> reply = read_frame(
-          conn.sock, options_.max_frame_bytes, options_.io_timeout_ms);
-      if (!reply.has_value()) {
-        throw WireError(WireErrorCode::kClosed,
-                        "shard " + conn.label + " closed during handshake");
-      }
-      if (reply->type == FrameType::kBusy) {
-        const auto [retry_ms, msg] = decode_busy(reply->payload);
-        write_frame(sock, FrameType::kBusy,
-                    encode_busy(retry_ms, "shard " + conn.label + ": " + msg),
-                    options_.io_timeout_ms);
-        return true;
-      }
-      if (reply->type != FrameType::kHelloOk) {
-        throw WireError(WireErrorCode::kProtocol,
-                        "shard " + conn.label + " answered frame type " +
-                            std::to_string(static_cast<int>(reply->type)) +
-                            " to HELLO");
-      }
-      const auto [shard_version, banner] = decode_hello(reply->payload);
-      if (shard_version < 4) {
-        throw WireError(WireErrorCode::kBadVersion,
-                        "shard " + conn.label + " negotiated v" +
-                            std::to_string(shard_version) +
-                            "; shard partials need v4");
-      }
-      shards.push_back(std::move(conn));
+  // whole fan-out (largest retry hint wins) with the client connection
+  // left open; nothing has been uploaded yet, so the client's retry is
+  // free.
+  shards_.reserve(backend_.shards.size());
+  for (const ShardAddress& address : backend_.shards) {
+    ShardConn shard;
+    shard.label = label(address);
+    try {
+      shard.sock = serve::connect_tcp(
+          address.host, address.port,
+          std::min(backend_.io_timeout_ms, request.wait_budget_ms()));
+    } catch (const WireError& e) {
+      throw WireError(e.code(), "shard " + shard.label + ": " + e.what());
     }
-
-    // MAP_BEGIN to every shard, then collect every MAP_GO before sending
-    // the client its own MAP_GO.
-    std::uint32_t busy_hint = 0;
-    std::string busy_msg;
-    for (ShardConn& shard : shards) {
-      MapBeginInfo info;
-      info.flags = kFlagShardPartials;
-      info.deadline_ms = begin.deadline_ms;
-      info.trace_id = begin.trace_id;
-      info.parent_span_id = begin.parent_span_id;
-      info.genome_id = genome_id;
-      write_frame(shard.sock, FrameType::kMapBegin,
-                  encode_map_begin(info, /*version=*/4),
-                  options_.io_timeout_ms);
+    send(shard, request, FrameType::kHello,
+         encode_hello(kProtocolVersion, "gnumapd-router"));
+    const Frame hello = reply(shard, request, "HELLO_OK");
+    if (hello.type == FrameType::kBusy) {
+      const auto [retry_ms, msg] = decode_busy(hello.payload);
+      return BusyReply{retry_ms, "shard " + shard.label + ": " + msg};
     }
-    for (ShardConn& shard : shards) {
-      std::optional<Frame> reply = read_frame(
-          shard.sock, options_.max_frame_bytes, options_.io_timeout_ms);
-      if (!reply.has_value()) {
-        throw WireError(WireErrorCode::kClosed,
-                        "shard " + shard.label + " closed after MAP_BEGIN");
-      }
-      if (reply->type == FrameType::kBusy) {
-        const auto [retry_ms, msg] = decode_busy(reply->payload);
-        if (retry_ms >= busy_hint) {
-          busy_hint = retry_ms;
-          busy_msg = "shard " + shard.label + ": " + msg;
-        }
-        continue;
-      }
-      if (reply->type == FrameType::kError) {
-        const auto [code, msg] = decode_error(reply->payload);
-        throw WireError(code, "shard " + shard.label + ": " + msg);
-      }
-      if (reply->type != FrameType::kMapGo) {
-        throw WireError(WireErrorCode::kProtocol,
-                        "shard " + shard.label + " answered frame type " +
-                            std::to_string(static_cast<int>(reply->type)) +
-                            " to MAP_BEGIN");
-      }
+    if (hello.type != FrameType::kHelloOk) unexpected(shard, hello, "HELLO");
+    const auto [shard_version, banner] = decode_hello(hello.payload);
+    if (shard_version < 4) {
+      throw WireError(WireErrorCode::kBadVersion,
+                      "shard " + shard.label + " negotiated v" +
+                          std::to_string(shard_version) +
+                          "; shard partials need v4");
     }
-    if (!busy_msg.empty()) {
-      write_frame(sock, FrameType::kBusy, encode_busy(busy_hint, busy_msg),
-                  options_.io_timeout_ms);
-      return true;
-    }
-  } catch (const WireError& e) {
-    send_error(sock, e.code(), who + e.what());
-    return false;
+    shards_.push_back(std::move(shard));
   }
 
-  try {
-    write_frame(sock, FrameType::kMapGo, "", options_.io_timeout_ms);
-
-    // The same epilogue a single daemon runs (session.cpp): accumulator,
-    // SAM header first, per-read accumulate + SAM records in input order,
-    // call_snps over the finished accumulator, TSV last.
-    auto accum = make_accumulator(config_.accum_kind, 0,
-                                  genome_.padded_size(),
-                                  config_.centdisc_quantize);
-    std::string sam_text;
-    if (want_sam) append_sam_header(sam_text, genome_);
-
-    MapStats stats;
-    std::uint64_t upload_bytes = 0;
-    std::uint64_t result_bytes = 0;
-    std::uint64_t batches = 0;
-    bool saw_end = false;
-    ChunkSourceBuf chunk_buf(sock, options_, saw_end, upload_bytes);
-    std::istream fastq_text(&chunk_buf);
-    fastq_text.exceptions(std::ios::badbit);
-    FastqReadStream reads(fastq_text, config_.stream_batch, phred_offset,
-                          "<wire>");
-
-    const auto send_result = [&](FrameType type, const std::string& text) {
-      for (std::size_t off = 0; off < text.size(); off += kChunkBytes) {
-        const std::size_t n = std::min(kChunkBytes, text.size() - off);
-        write_frame(sock, type, std::string_view(text).substr(off, n),
-                    options_.io_timeout_ms);
-        result_bytes += n;
+  // MAP_BEGIN to every shard, then collect every MAP_GO before the client
+  // gets its own.  The client's genome id is forwarded as sent ("" stays
+  // the shards' default).
+  MapBeginInfo info;
+  info.flags = kFlagShardPartials;
+  info.deadline_ms = begin.deadline_ms;
+  info.trace_id = begin.trace_id;
+  info.parent_span_id = begin.parent_span_id;
+  info.genome_id = begin.genome_id;
+  const std::string map_begin = encode_map_begin(info, /*version=*/4);
+  for (ShardConn& shard : shards_) {
+    send(shard, request, FrameType::kMapBegin, map_begin);
+  }
+  std::optional<BusyReply> busy;
+  for (ShardConn& shard : shards_) {
+    const Frame go = reply(shard, request, "MAP_GO");
+    if (go.type == FrameType::kBusy) {
+      const auto [retry_ms, msg] = decode_busy(go.payload);
+      if (!busy || retry_ms >= busy->retry_after_ms) {
+        busy = BusyReply{retry_ms, "shard " + shard.label + ": " + msg};
       }
+      continue;
+    }
+    if (go.type != FrameType::kMapGo) unexpected(shard, go, "MAP_BEGIN");
+  }
+  return busy;
+}
+
+PipelineResult FanoutJob::run(MapRequest& request) {
+  const Genome& genome = backend_.genome;
+  const PipelineConfig& config = backend_.config;
+  // The same epilogue a single daemon runs (session.cpp): accumulator,
+  // SAM header first, per-read accumulate + SAM records in input order,
+  // call_snps over the finished accumulator.
+  auto accum = make_accumulator(config.accum_kind, 0, genome.padded_size(),
+                                config.centdisc_quantize);
+  std::ostream* sam = request.sam();
+  std::string rendered;
+  if (sam != nullptr) {
+    append_sam_header(rendered, genome);
+    sam->write(rendered.data(), static_cast<std::streamsize>(rendered.size()));
+  }
+
+  serve::RequestDigest& digest = request.digest();
+  digest.shards = shards_.size();
+  PipelineResult result;
+  Timer map_timer;
+  Timer stage;
+  double merge_seconds = 0.0;
+  ReadStream& reads = request.reads();
+  ReadBatch batch;
+  for (;;) {
+    stage.reset();
+    const bool more = reads.next(batch);
+    result.decode_seconds += stage.seconds();
+    if (!more) break;
+    ++result.batches_decoded;
+    result.stats.reads_total += batch.size();
+    result.reads_in_flight_peak =
+        std::max<std::uint64_t>(result.reads_in_flight_peak, batch.size());
+    const std::string payload = serialize_reads(batch.reads);
+    for (ShardConn& shard : shards_) {
+      send(shard, request, FrameType::kShardReads, payload);
+    }
+    // One RESULT_PARTIAL per shard, gathered in backend order; the merge
+    // is order-independent (the sort re-establishes seeder order).
+    std::vector<std::vector<RawCandidate>> merged(batch.reads.size());
+    for (ShardConn& shard : shards_) {
+      const Frame partial = reply(shard, request, "RESULT_PARTIAL");
+      if (partial.type != FrameType::kResultPartial) {
+        unexpected(shard, partial, "SHARD_READS");
+      }
+      auto partials = deserialize_partials(partial.payload);
+      if (partials.size() != batch.reads.size()) {
+        throw WireError(WireErrorCode::kProtocol,
+                        "shard " + shard.label + " answered " +
+                            std::to_string(partials.size()) +
+                            " reads for a batch of " +
+                            std::to_string(batch.reads.size()));
+      }
+      for (std::size_t r = 0; r < partials.size(); ++r) {
+        merged[r].insert(merged[r].end(),
+                         std::make_move_iterator(partials[r].begin()),
+                         std::make_move_iterator(partials[r].end()));
+      }
+    }
+    stage.reset();
+    rendered.clear();
+    for (std::size_t r = 0; r < batch.reads.size(); ++r) {
+      std::vector<ScoredSite> sites =
+          merge_read_candidates(config, std::move(merged[r]));
+      finalize_scored_sites(config, batch.reads[r], sites, result.stats);
+      ReadMapper::accumulate(sites, *accum);
+      if (sam != nullptr) {
+        for (const auto& record :
+             to_sam_records(genome, batch.reads[r], sites, config)) {
+          append_sam_record(rendered, genome, record);
+        }
+      }
+    }
+    if (sam != nullptr) {
+      sam->write(rendered.data(),
+                 static_cast<std::streamsize>(rendered.size()));
+    }
+    merge_seconds += stage.seconds();
+  }
+
+  // Release the shards and aggregate their MAP_DONE accounting.
+  for (ShardConn& shard : shards_) {
+    send(shard, request, FrameType::kMapEnd, "");
+  }
+  std::uint64_t shard_candidates = 0;
+  std::uint64_t shard_cells = 0;
+  for (ShardConn& shard : shards_) {
+    const Frame done = reply(shard, request, "MAP_DONE");
+    if (done.type != FrameType::kMapDone) unexpected(shard, done, "MAP_END");
+    const auto kv = serve::parse_kv_lines(done.payload);
+    const auto field = [&](const char* key) -> std::string {
+      const auto it = kv.find(key);
+      return it == kv.end() ? "0" : it->second;
     };
-
-    ReadBatch batch;
-    while (reads.next(batch)) {
-      ++batches;
-      stats.reads_total += batch.reads.size();
-      const std::string payload = serialize_reads(batch.reads);
-      for (ShardConn& shard : shards) {
-        write_frame(shard.sock, FrameType::kShardReads, payload,
-                    options_.io_timeout_ms);
-      }
-      // One RESULT_PARTIAL per shard, gathered in backend order; the merge
-      // is order-independent (the sort below re-establishes seeder order).
-      std::vector<std::vector<RawCandidate>> merged(batch.reads.size());
-      for (ShardConn& shard : shards) {
-        std::optional<Frame> reply = read_frame(
-            shard.sock, options_.max_frame_bytes, options_.shard_timeout_ms);
-        if (!reply.has_value()) {
-          throw WireError(WireErrorCode::kClosed,
-                          "shard " + shard.label + " closed mid-batch");
-        }
-        if (reply->type == FrameType::kError) {
-          const auto [code, msg] = decode_error(reply->payload);
-          throw WireError(code, "shard " + shard.label + ": " + msg);
-        }
-        if (reply->type != FrameType::kResultPartial) {
-          throw WireError(WireErrorCode::kProtocol,
-                          "shard " + shard.label + " sent frame type " +
-                              std::to_string(static_cast<int>(reply->type)) +
-                              " instead of RESULT_PARTIAL");
-        }
-        auto partials = deserialize_partials(reply->payload);
-        if (partials.size() != batch.reads.size()) {
-          throw WireError(WireErrorCode::kProtocol,
-                          "shard " + shard.label + " answered " +
-                              std::to_string(partials.size()) +
-                              " reads for a batch of " +
-                              std::to_string(batch.reads.size()));
-        }
-        for (std::size_t r = 0; r < partials.size(); ++r) {
-          auto& dst = merged[r];
-          auto& src = partials[r];
-          dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                     std::make_move_iterator(src.end()));
-        }
-      }
-      for (std::size_t r = 0; r < batch.reads.size(); ++r) {
-        std::vector<ScoredSite> sites =
-            merge_read_candidates(config_, std::move(merged[r]));
-        finalize_scored_sites(config_, batch.reads[r], sites, stats);
-        ReadMapper::accumulate(sites, *accum);
-        if (want_sam) {
-          for (const auto& record :
-               to_sam_records(genome_, batch.reads[r], sites, config_)) {
-            append_sam_record(sam_text, genome_, record);
-          }
-        }
-      }
-    }
-
-    // Release the shards and aggregate their MAP_DONE accounting.
-    std::uint64_t shard_candidates = 0;
-    std::uint64_t shard_cells = 0;
-    for (ShardConn& shard : shards) {
-      write_frame(shard.sock, FrameType::kMapEnd, "", options_.io_timeout_ms);
-    }
-    for (ShardConn& shard : shards) {
-      std::optional<Frame> reply = read_frame(
-          shard.sock, options_.max_frame_bytes, options_.shard_timeout_ms);
-      if (!reply.has_value()) {
-        throw WireError(WireErrorCode::kClosed,
-                        "shard " + shard.label + " closed before MAP_DONE");
-      }
-      if (reply->type == FrameType::kError) {
-        const auto [code, msg] = decode_error(reply->payload);
-        throw WireError(code, "shard " + shard.label + ": " + msg);
-      }
-      if (reply->type != FrameType::kMapDone) {
-        throw WireError(WireErrorCode::kProtocol,
-                        "shard " + shard.label + " sent frame type " +
-                            std::to_string(static_cast<int>(reply->type)) +
-                            " instead of MAP_DONE");
-      }
-      const auto kv = serve::parse_kv_lines(reply->payload);
-      const auto cand = kv.find("candidates_evaluated");
-      if (cand != kv.end()) {
-        shard_candidates += std::stoull(cand->second);
-      }
-      const auto cells = kv.find("phmm_cells");
-      if (cells != kv.end()) shard_cells += std::stoull(cells->second);
-    }
-
-    if (want_sam) send_result(FrameType::kResultSam, sam_text);
-
-    const std::vector<SnpCall> calls = call_snps(genome_, *accum, config_);
-    std::string tsv_text;
-    append_snps_tsv(tsv_text, calls);
-    send_result(FrameType::kResultTsv, tsv_text);
-
-    std::string done;
-    done += u64_kv("reads_total", stats.reads_total);
-    done += u64_kv("reads_mapped", stats.reads_mapped);
-    done += u64_kv("calls", calls.size());
-    done += u64_kv("batches", batches);
-    done += u64_kv("router_shards", shards.size());
-    done += u64_kv("candidates_evaluated", shard_candidates);
-    done += u64_kv("phmm_cells", shard_cells);
-    done += u64_kv("upload_bytes", upload_bytes);
-    done += u64_kv("result_bytes", result_bytes);
-    done += "genome_id=" + genome_id + "\n";
-    done += dbl_kv("total_seconds", request_timer.seconds());
-    if (begin.trace_id != 0) {
-      done += "trace_id=" + serve::trace_id_hex(begin.trace_id) + "\n";
-      done += "parent_span_id=" +
-              serve::trace_id_hex(begin.parent_span_id) + "\n";
-    }
-    write_frame(sock, FrameType::kMapDone, done, options_.io_timeout_ms);
-    GNUMAP_LOG(kInfo) << "router: " << who << stats.reads_mapped << "/"
-                      << stats.reads_total << " reads mapped across "
-                      << shards.size() << " shard(s), " << calls.size()
-                      << " calls in " << request_timer.seconds() << " s";
-    return true;
-  } catch (const WireError& e) {
-    send_error(sock, e.code(), who + e.what());
-    return false;
-  } catch (const ParseError& e) {
-    send_error(sock, WireErrorCode::kParse, who + e.what());
-    return false;
-  } catch (const std::exception& e) {
-    send_error(sock, WireErrorCode::kInternal, who + e.what());
-    return false;
+    shard_candidates += std::stoull(field("candidates_evaluated"));
+    shard_cells += std::stoull(field("phmm_cells"));
+    digest.shard_seconds_max =
+        std::max(digest.shard_seconds_max, std::stod(field("total_seconds")));
+    digest.shard_index_load_seconds_max =
+        std::max(digest.shard_index_load_seconds_max,
+                 std::stod(field("index_load_seconds")));
   }
+  result.stats.candidates_evaluated = shard_candidates;
+  result.stats.dp_cells = shard_cells;
+  result.map_seconds = map_timer.seconds();
+
+  stage.reset();
+  result.calls = call_snps(genome, *accum, config);
+  result.call_seconds = stage.seconds();
+
+  digest.fanout_wait_seconds = fanout_wait_seconds_;
+  digest.merge_seconds = merge_seconds;
+  return result;
+}
+
+}  // namespace
+
+std::unique_ptr<serve::MapBackend> make_shard_fanout_backend(
+    const Genome& genome, const PipelineConfig& config,
+    const serve::ServeOptions& options) {
+  return std::make_unique<FanoutBackend>(genome, config, options);
 }
 
 }  // namespace gnumap::fleet

@@ -141,7 +141,17 @@ std::string digest_table_json(const MappingServer& server) {
            ", \"calls\": " + std::to_string(d.calls) +
            ", \"phmm_cells\": " + std::to_string(d.phmm_cells) +
            ", \"gcups\": " + json_number(d.gcups) +
-           ", \"fp32_recomputed\": " + std::to_string(d.fp32_recomputed) + "}";
+           ", \"fp32_recomputed\": " + std::to_string(d.fp32_recomputed);
+    if (d.shards > 0) {
+      out += ", \"router_shards\": " + std::to_string(d.shards) +
+             ", \"shard_seconds_max\": " + json_number(d.shard_seconds_max) +
+             ", \"fanout_wait_seconds\": " +
+             json_number(d.fanout_wait_seconds) +
+             ", \"merge_seconds\": " + json_number(d.merge_seconds) +
+             ", \"shard_index_load_seconds_max\": " +
+             json_number(d.shard_index_load_seconds_max);
+    }
+    out += "}";
   }
   out += slowest.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;

@@ -7,7 +7,9 @@
 // actually pages on: admission wait, time blocked on the client's upload,
 // the pipeline's decode/map/drain stage seconds, SNP calling, plus the
 // PHMM work done (DP cells, GCUPS, fp32 recomputes) and the byte counts
-// both ways.  The ring backs three surfaces (docs/OBSERVABILITY.md):
+// both ways.  A routed request (shard fan-out backend) also splits its
+// time into the slowest shard, the wait on shard replies, and the
+// router's own merge.  The ring backs three surfaces (docs/OBSERVABILITY.md):
 // the admin endpoint's /tracez "slowest recent requests" table, the STATS
 // frame's digest_* lines, and one structured request_digest log line
 // emitted as each request finishes.
@@ -54,6 +56,13 @@ struct RequestDigest {
   std::uint64_t phmm_cells = 0;      ///< useful DP cell updates
   double gcups = 0.0;                ///< phmm_cells / kernel seconds / 1e9
   std::uint64_t fp32_recomputed = 0; ///< reads re-scored by the fp64 oracle
+
+  // Routed requests only (shards == 0 on a local request).
+  std::uint64_t shards = 0;                  ///< shard daemons fanned out to
+  double shard_seconds_max = 0.0;            ///< slowest shard's total_seconds
+  double fanout_wait_seconds = 0.0;          ///< blocked on shard replies
+  double merge_seconds = 0.0;                ///< merge+finalize+accumulate+render
+  double shard_index_load_seconds_max = 0.0; ///< slowest shard index load
 };
 
 /// Fixed-capacity ring of the most recent request digests, oldest evicted

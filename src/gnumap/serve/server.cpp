@@ -8,7 +8,9 @@
 #include <thread>
 #include <utility>
 
+#include "gnumap/core/session.hpp"
 #include "gnumap/fleet/partials.hpp"
+#include "gnumap/fleet/router.hpp"
 #include "gnumap/io/chunk_stream.hpp"
 #include "gnumap/io/quality.hpp"
 #include "gnumap/io/read_stream.hpp"
@@ -227,58 +229,237 @@ fleet::RegistryOptions registry_options(const ServeOptions& options) {
   return r;
 }
 
+/// A request against one resident genome of the registry.  The lease pins
+/// the genome against eviction until the request is done.
+class LocalJob final : public MapJob {
+ public:
+  explicit LocalJob(fleet::GenomeLease lease) : lease_(std::move(lease)) {
+    genome_id = lease_->id;
+    index_load_seconds = lease_->index_load_seconds;
+    admission = lease_->admission.get();
+  }
+
+  PipelineResult run(MapRequest& request) override {
+    if ((request.begin().flags & kFlagShardPartials) != 0) {
+      return run_partials(request);
+    }
+    return lease_->session->run(request.reads(), nullptr, request.sam());
+  }
+
+ private:
+  /// Shard-partial mode: the peer is a fleet router, not an end client.
+  /// SHARD_READS batches are scored with score_reads_raw over this shard's
+  /// core diagonal range and answered with RESULT_PARTIAL frames
+  /// (fleet/partials.hpp) — no SAM, no TSV, no epilogue.
+  PipelineResult run_partials(MapRequest& request) {
+    PipelineResult result;
+    Timer timer;
+    // One workspace for the whole request: batches arrive in order and are
+    // scored synchronously on this thread with the scalar double kernel —
+    // partials must be independent of this daemon's SIMD and precision
+    // settings (read_mapper.hpp, score_reads_raw).
+    MapperWorkspace ws;
+    for (;;) {
+      const Frame frame = request.next_frame();
+      if (frame.type == FrameType::kMapEnd) break;
+      if (frame.type != FrameType::kShardReads) {
+        throw WireError(WireErrorCode::kProtocol,
+                        "expected SHARD_READS or MAP_END, got type " +
+                            std::to_string(static_cast<int>(frame.type)));
+      }
+      const std::vector<Read> reads = fleet::deserialize_reads(frame.payload);
+      ++result.batches_decoded;
+      Timer stage;
+      const auto partials = lease_->session->mapper().score_reads_raw(
+          reads, ws, result.stats, lease_->core_begin, lease_->core_end);
+      result.map_stage_seconds += stage.seconds();
+      request.send(FrameType::kResultPartial,
+                   fleet::serialize_partials(partials));
+    }
+    result.map_seconds = timer.seconds();
+    done_lines = "shard_core_begin=" + std::to_string(lease_->core_begin) +
+                 "\nshard_core_end=" + std::to_string(lease_->core_end) + "\n";
+    return result;
+  }
+
+  fleet::GenomeLease lease_;
+};
+
+/// The daemon's backend: requests map against the registry's resident
+/// sessions.
+class LocalBackend final : public MapBackend {
+ public:
+  explicit LocalBackend(std::unique_ptr<fleet::GenomeRegistry> registry)
+      : registry_(std::move(registry)) {
+    // Load the default genome once so the daemon greets its first client
+    // warm, then drop the lease so it stays evictable under a budget.
+    // Bases/entries are immutable per genome, so the snapshot never goes
+    // stale.
+    const fleet::GenomeLease lease = registry_->acquire("");
+    genome_bases_ = lease->session->genome().num_bases();
+    index_entries_ = lease->session->index().num_entries();
+    index_load_seconds_ = lease->index_load_seconds;
+  }
+
+  std::unique_ptr<MapJob> open(const MapBeginInfo& begin) override {
+    return std::make_unique<LocalJob>(registry_->acquire(begin.genome_id));
+  }
+
+  std::string banner() const override {
+    return "gnumapd genome_bases=" + std::to_string(genome_bases_) +
+           " index_entries=" + std::to_string(index_entries_) +
+           " genomes=" + std::to_string(registry_->size());
+  }
+
+  std::string stats_lines() const override {
+    std::string text;
+    text += u64_kv("genome_bases", genome_bases_);
+    text += u64_kv("index_entries", index_entries_);
+    text += u64_kv("registry_genomes",
+                   static_cast<std::uint64_t>(registry_->size()));
+    text += u64_kv("registry_resident_bytes", registry_->resident_bytes());
+    text += u64_kv("registry_evictions_total", registry_->evictions());
+    text += dbl_kv("index_load_seconds", index_load_seconds_);
+    return text;
+  }
+
+  std::string statusz_members() const override {
+    using obs::detail::json_number;
+    using obs::detail::json_string;
+    const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
+    const PipelineConfig& config = registry_->config();
+    std::string out = "  \"session\": {\"genome_bases\": " +
+                      u64(genome_bases_) +
+                      ", \"index_entries\": " + u64(index_entries_) +
+                      ", \"threads\": " + std::to_string(config.threads) +
+                      ", \"stream_batch\": " +
+                      std::to_string(config.stream_batch) + "},\n";
+    out += "  \"registry\": {\"genomes\": " +
+           u64(static_cast<std::uint64_t>(registry_->size())) +
+           ", \"resident_bytes\": " + u64(registry_->resident_bytes()) +
+           ", \"evictions_total\": " + u64(registry_->evictions()) +
+           ", \"entries\": [";
+    const auto rows = registry_->rows();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto& row = rows[i];
+      if (i != 0) out += ", ";
+      out += "{\"id\": " + json_string(row.id) +
+             ", \"path\": " + json_string(row.path) +
+             ", \"resident\": " + (row.resident ? "true" : "false") +
+             ", \"from_index_file\": " +
+             (row.from_index_file ? "true" : "false") +
+             ", \"pinned\": " + (row.pinned ? "true" : "false") +
+             ", \"bytes\": " + u64(row.bytes) +
+             ", \"load_seconds\": " + json_number(row.load_seconds) +
+             ", \"active_leases\": " + u64(row.active_leases) +
+             ", \"evictions\": " + u64(row.evictions) + "}";
+    }
+    out += "]},\n";
+    return out;
+  }
+
+ private:
+  std::unique_ptr<fleet::GenomeRegistry> registry_;
+  std::uint64_t genome_bases_ = 0;
+  std::uint64_t index_entries_ = 0;
+  double index_load_seconds_ = 0.0;
+};
+
+std::unique_ptr<MapBackend> single_genome_backend(const Genome& genome,
+                                                  const PipelineConfig& config,
+                                                  const ServeOptions& options) {
+  if (!options.route_shards.empty()) {
+    return fleet::make_shard_fanout_backend(genome, config, options);
+  }
+  return std::make_unique<LocalBackend>(std::make_unique<fleet::GenomeRegistry>(
+      genome, config, registry_options(options)));
+}
+
+std::unique_ptr<MapBackend> registry_backend(
+    std::vector<fleet::GenomeSpec> genomes, const PipelineConfig& config,
+    const ServeOptions& options) {
+  require(options.route_shards.empty(),
+          "MappingServer: a router serves one genome; use the single-genome "
+          "constructor with route_shards");
+  return std::make_unique<LocalBackend>(std::make_unique<fleet::GenomeRegistry>(
+      std::move(genomes), config, registry_options(options)));
+}
+
+/// The one MAP_DONE writer: the per-stage timing summary mirrors the
+/// digest, so a client sees where its request's time went without
+/// scraping anything.  Older clients parse key=value lines and ignore keys
+/// they don't know.
+std::string map_done_text(const PipelineResult& result,
+                          const RequestDigest& digest, const MapJob& job,
+                          const MapBeginInfo& begin, std::uint64_t window) {
+  std::string done;
+  done += u64_kv("reads_total", digest.reads_total);
+  done += u64_kv("reads_mapped", digest.reads_mapped);
+  done += u64_kv("calls", digest.calls);
+  done += u64_kv("batches", result.batches_decoded);
+  done += u64_kv("in_flight_peak", result.reads_in_flight_peak);
+  done += u64_kv("window_reads", window);
+  done += dbl_kv("map_seconds", result.map_seconds);
+  done += dbl_kv("total_seconds", digest.total_seconds);
+  done += dbl_kv("admission_wait_seconds", digest.admission_wait_seconds);
+  done += dbl_kv("upload_wait_seconds", digest.upload_wait_seconds);
+  done += dbl_kv("decode_seconds", digest.decode_seconds);
+  done += dbl_kv("map_stage_seconds", digest.map_stage_seconds);
+  // drain_seconds (the format+splice sum) predates the worker-format
+  // refactor; v2/v3 clients already parse it, so it stays alongside the
+  // split keys.
+  done += dbl_kv("drain_seconds", digest.drain_seconds());
+  done += dbl_kv("format_seconds", digest.format_seconds);
+  done += dbl_kv("splice_seconds", digest.splice_seconds);
+  done += dbl_kv("call_seconds", digest.call_seconds);
+  done += u64_kv("upload_bytes", digest.upload_bytes);
+  done += u64_kv("result_bytes", digest.result_bytes);
+  done += u64_kv("phmm_cells", digest.phmm_cells);
+  done += dbl_kv("gcups", digest.gcups);
+  done += u64_kv("fp32_recomputed", digest.fp32_recomputed);
+  done += u64_kv("candidates_evaluated", result.stats.candidates_evaluated);
+  done += "genome_id=" + job.genome_id + "\n";
+  done += dbl_kv("index_load_seconds", job.index_load_seconds);
+  if (digest.shards > 0) {
+    done += u64_kv("router_shards", digest.shards);
+    done += dbl_kv("shard_seconds_max", digest.shard_seconds_max);
+    done += dbl_kv("fanout_wait_seconds", digest.fanout_wait_seconds);
+    done += dbl_kv("merge_seconds", digest.merge_seconds);
+    done += dbl_kv("shard_index_load_seconds_max",
+                   digest.shard_index_load_seconds_max);
+  }
+  done += job.done_lines;
+  if (begin.trace_id != 0) {
+    done += "trace_id=" + trace_id_hex(begin.trace_id) + "\n";
+    done += "parent_span_id=" + trace_id_hex(begin.parent_span_id) + "\n";
+  }
+  return done;
+}
+
 }  // namespace
 
 MappingServer::MappingServer(const Genome& genome,
                              const PipelineConfig& config,
                              const ServeOptions& options)
-    : options_(options),
-      registry_(std::make_unique<fleet::GenomeRegistry>(
-          genome, config, registry_options(options))),
-      listener_(std::make_unique<Listener>(options.port, options.bind_any)),
-      admission_(options.admission_reads, options.per_connection_reads),
-      digests_(options.digest_ring_capacity) {
-  serve_metrics();  // register the gnumap_serve_* series up front
-  {
-    // Load the default genome once so the daemon greets its first client
-    // warm, then drop the lease so it stays evictable under a budget.
-    const fleet::GenomeLease lease = registry_->acquire("");
-    default_genome_bases_ = lease->session->genome().num_bases();
-    default_index_entries_ = lease->session->index().num_entries();
-    default_index_load_seconds_ = lease->index_load_seconds;
-  }
-  if (!options_.fault_plan.empty()) {
-    listener_->set_fault_injector(make_injector(options_.fault_plan));
-    GNUMAP_LOG(kWarn) << "gnumapd: wire fault plan active: "
-                      << options_.fault_plan.describe();
-  }
-  if (options_.admin_port >= 0) {
-    admin_ = std::make_unique<AdminHttpServer>(*this, options_.admin_port,
-                                               options_.bind_any);
-    GNUMAP_LOG(kInfo) << "gnumapd: admin endpoint on port " << admin_->port();
-  }
-  GNUMAP_LOG(kInfo) << "gnumapd: index resident ("
-                    << default_index_entries() << " entries over "
-                    << default_genome_bases()
-                    << " bases), listening on port " << listener_->port();
-}
+    : MappingServer(single_genome_backend(genome, config, options), config,
+                    options) {}
 
 MappingServer::MappingServer(std::vector<fleet::GenomeSpec> genomes,
                              const PipelineConfig& config,
                              const ServeOptions& options)
+    : MappingServer(registry_backend(std::move(genomes), config, options),
+                    config, options) {}
+
+MappingServer::MappingServer(std::unique_ptr<MapBackend> backend,
+                             const PipelineConfig& config,
+                             const ServeOptions& options)
     : options_(options),
-      registry_(std::make_unique<fleet::GenomeRegistry>(
-          std::move(genomes), config, registry_options(options))),
+      config_(config),
+      backend_(std::move(backend)),
       listener_(std::make_unique<Listener>(options.port, options.bind_any)),
       admission_(options.admission_reads, options.per_connection_reads),
       digests_(options.digest_ring_capacity) {
-  serve_metrics();
-  {
-    const fleet::GenomeLease lease = registry_->acquire("");
-    default_genome_bases_ = lease->session->genome().num_bases();
-    default_index_entries_ = lease->session->index().num_entries();
-    default_index_load_seconds_ = lease->index_load_seconds;
-  }
+  serve_metrics();  // register the gnumap_serve_* series up front
   if (!options_.fault_plan.empty()) {
     listener_->set_fault_injector(make_injector(options_.fault_plan));
     GNUMAP_LOG(kWarn) << "gnumapd: wire fault plan active: "
@@ -289,11 +470,8 @@ MappingServer::MappingServer(std::vector<fleet::GenomeSpec> genomes,
                                                options_.bind_any);
     GNUMAP_LOG(kInfo) << "gnumapd: admin endpoint on port " << admin_->port();
   }
-  GNUMAP_LOG(kInfo) << "gnumapd: registry of " << registry_->size()
-                    << " genome(s), default \"" << registry_->default_id()
-                    << "\" resident (" << default_index_entries()
-                    << " entries over " << default_genome_bases()
-                    << " bases), listening on port " << listener_->port();
+  GNUMAP_LOG(kInfo) << "gnumapd: " << backend_->banner()
+                    << ", listening on port " << listener_->port();
 }
 
 MappingServer::~MappingServer() {
@@ -308,14 +486,7 @@ int MappingServer::admin_port() const {
 }
 
 std::uint64_t MappingServer::request_window_reads() const {
-  const auto& config = registry_->config();
-  const std::uint64_t threads =
-      static_cast<std::uint64_t>(std::max(1, config.threads));
-  const std::uint64_t queue_depth =
-      std::max<std::uint64_t>(1, config.queue_depth);
-  const std::uint64_t batch = std::max<std::uint32_t>(1, config.stream_batch);
-  // The staged pipeline's documented in-flight peak bound (pipeline.hpp).
-  return (2 * (queue_depth + threads) + 1) * batch;
+  return in_flight_bound_reads(config_);
 }
 
 std::uint32_t MappingServer::busy_retry_hint() const {
@@ -388,13 +559,7 @@ std::string MappingServer::stats_text() const {
   const ServerStats s = stats();
   std::string text;
   text += u64_kv("protocol_version", kProtocolVersion);
-  text += u64_kv("genome_bases", default_genome_bases());
-  text += u64_kv("index_entries", default_index_entries());
-  text += u64_kv("registry_genomes",
-                 static_cast<std::uint64_t>(registry_->size()));
-  text += u64_kv("registry_resident_bytes", registry_->resident_bytes());
-  text += u64_kv("registry_evictions_total", registry_->evictions());
-  text += dbl_kv("index_load_seconds", default_index_load_seconds_);
+  text += backend_->stats_lines();
   text += u64_kv("admission_capacity_reads", admission_.capacity());
   text += u64_kv("admitted_reads", admission_.admitted());
   text += u64_kv("admitted_reads_peak", admission_.peak());
@@ -446,7 +611,6 @@ std::string MappingServer::statusz_json() const {
   const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
   const ServerStats s = stats();
   const obs::BuildInfo& build = obs::build_info();
-  const auto& config = registry_->config();
 
   std::string out = "{\n";
   out += "  \"build\": {\"git_sha\": " + json_string(build.git_sha) +
@@ -460,34 +624,7 @@ std::string MappingServer::statusz_json() const {
          ", \"min_protocol_version\": " + u64(kMinProtocolVersion) +
          ", \"uptime_seconds\": " + json_number(uptime_.seconds()) +
          ", \"draining\": " + (stopping() ? "true" : "false") + "},\n";
-  out += "  \"session\": {\"genome_bases\": " +
-         u64(default_genome_bases()) +
-         ", \"index_entries\": " + u64(default_index_entries()) +
-         ", \"threads\": " + std::to_string(config.threads) +
-         ", \"stream_batch\": " + std::to_string(config.stream_batch) + "},\n";
-  out += "  \"registry\": {\"genomes\": " +
-         u64(static_cast<std::uint64_t>(registry_->size())) +
-         ", \"resident_bytes\": " + u64(registry_->resident_bytes()) +
-         ", \"evictions_total\": " + u64(registry_->evictions()) +
-         ", \"entries\": [";
-  {
-    const auto rows = registry_->rows();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      if (i != 0) out += ", ";
-      out += "{\"id\": " + json_string(row.id) +
-             ", \"path\": " + json_string(row.path) +
-             ", \"resident\": " + (row.resident ? "true" : "false") +
-             ", \"from_index_file\": " +
-             (row.from_index_file ? "true" : "false") +
-             ", \"pinned\": " + (row.pinned ? "true" : "false") +
-             ", \"bytes\": " + u64(row.bytes) +
-             ", \"load_seconds\": " + json_number(row.load_seconds) +
-             ", \"active_leases\": " + u64(row.active_leases) +
-             ", \"evictions\": " + u64(row.evictions) + "}";
-    }
-  }
-  out += "]},\n";
+  out += backend_->statusz_members();
   out += "  \"admission\": {\"capacity_reads\": " + u64(admission_.capacity()) +
          ", \"admitted_reads\": " + u64(admission_.admitted()) +
          ", \"admitted_reads_peak\": " + u64(admission_.peak()) +
@@ -579,9 +716,8 @@ void MappingServer::watchdog_loop() {
                 static_cast<int>(WireErrorCode::kTimeout));
             slot.cancel.store(true);
             evictions_total_.fetch_add(1, std::memory_order_relaxed);
-            deadline_abandoned_total_.fetch_add(1, std::memory_order_relaxed);
             serve_metrics().evictions_total.inc();
-            serve_metrics().deadline_abandoned_total.inc();
+            count_deadline_abandoned();
             GNUMAP_LOG(kInfo) << "serve: conn " << slot.conn_id << " (peer "
                               << slot.peer
                               << ") request deadline expired; abandoning";
@@ -635,10 +771,10 @@ void MappingServer::accept_loop() {
     slot->conn_id = conn_id;
     slot->peer = sock->peer_address();
     ConnectionSlot* raw = slot.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      conns_.push_back(std::move(slot));
-    }
+    // The thread handle is stored under the roster lock: a handler can
+    // finish before std::thread's assignment returns, and the watchdog
+    // reaps (reads the handle of) a finished slot under the same lock.
+    std::lock_guard<std::mutex> lock(conns_mutex_);
     raw->thread = std::thread(
         [this, raw](Socket conn) {
           handle_connection(std::move(conn), *raw);
@@ -649,6 +785,7 @@ void MappingServer::accept_loop() {
           raw->done.store(true, std::memory_order_release);
         },
         std::move(*sock));
+    conns_.push_back(std::move(slot));
   }
   listener_->close();
 }
@@ -721,13 +858,7 @@ void MappingServer::handle_connection(Socket sock, ConnectionSlot& slot) {
     const std::uint16_t agreed =
         std::min<std::uint16_t>(version, kProtocolVersion);
     write_frame(sock, FrameType::kHelloOk,
-                encode_hello(agreed,
-                             "gnumapd genome_bases=" +
-                                 std::to_string(default_genome_bases()) +
-                                 " index_entries=" +
-                                 std::to_string(default_index_entries()) +
-                                 " genomes=" +
-                                 std::to_string(registry_->size())),
+                encode_hello(agreed, backend_->banner()),
                 options_.io_timeout_ms, &slot.cancel);
     GNUMAP_LOG(kDebug) << "serve: conn " << slot.conn_id << " handshake ok ("
                        << client_name << ", v" << agreed << ")";
@@ -802,6 +933,177 @@ void MappingServer::handle_connection(Socket sock, ConnectionSlot& slot) {
   }
 }
 
+void MappingServer::count_deadline_abandoned() {
+  deadline_abandoned_total_.fetch_add(1, std::memory_order_relaxed);
+  serve_metrics().deadline_abandoned_total.inc();
+}
+
+/// The front end's per-request wire, as the backend sees it.  Frames read
+/// here run under the request deadline and count against the connection's
+/// byte budget; frames sent here are counted in the digest and metrics.
+class MappingServer::RequestIo final : public MapRequest {
+ public:
+  RequestIo(MappingServer& server, Socket& sock, ConnectionSlot& slot,
+            const MapBeginInfo& begin, RequestDigest& digest,
+            const Timer& request_timer, int effective_timeout_ms,
+            bool client_tighter)
+      : server_(server),
+        sock_(sock),
+        slot_(slot),
+        begin_(begin),
+        digest_(digest),
+        request_timer_(request_timer),
+        effective_timeout_ms_(effective_timeout_ms),
+        client_tighter_(client_tighter) {
+    if ((begin.flags & kFlagWantSam) != 0) {
+      sam_sink_.emplace(sock, FrameType::kResultSam,
+                        server.options_.io_timeout_ms, server.bytes_sent_,
+                        &digest.result_bytes, &slot.cancel);
+      sam_stream_.emplace(&*sam_sink_);
+    }
+  }
+
+  const MapBeginInfo& begin() const override { return begin_; }
+
+  ReadStream& reads() override {
+    if (!reads_) {
+      // The wire -> pipeline seam: READS_CHUNK frames are pulled off the
+      // socket only as the reader wants more bytes, so the pipeline's
+      // backpressure reaches all the way back to the client.  On the local
+      // backend this runs on the pipeline's decoder thread, which run()
+      // joins before returning — the handler thread reads the digest only
+      // after that, so plain writes are safe.
+      chunk_buf_ = std::make_unique<ChunkSourceBuf>([this](std::string& chunk) {
+        Frame frame = next_frame();
+        if (frame.type == FrameType::kMapEnd) return false;
+        if (frame.type != FrameType::kReadsChunk) {
+          throw WireError(WireErrorCode::kProtocol,
+                          "expected READS_CHUNK or MAP_END, got type " +
+                              std::to_string(static_cast<int>(frame.type)));
+        }
+        chunk = std::move(frame.payload);
+        return true;
+      });
+      fastq_text_ = std::make_unique<std::istream>(chunk_buf_.get());
+      // istream operations swallow streambuf exceptions into badbit, which
+      // getline reports as plain EOF — a WireError thrown mid-upload
+      // (timeout, oversized frame, disconnect) would silently truncate the
+      // batch and be answered with MAP_DONE.  With badbit in the exception
+      // mask, getline rethrows the original exception.
+      fastq_text_->exceptions(std::ios::badbit);
+      const int phred_offset =
+          (begin_.flags & kFlagPhred64) != 0 ? kPhred64 : kPhred33;
+      reads_ = std::make_unique<FastqReadStream>(
+          *fastq_text_, server_.config_.stream_batch, phred_offset, "<wire>");
+    }
+    return *reads_;
+  }
+
+  std::ostream* sam() override {
+    return sam_stream_ ? &*sam_stream_ : nullptr;
+  }
+
+  Frame next_frame() override {
+    Timer upload_timer;
+    int timeout = server_.options_.io_timeout_ms;
+    bool deadline_bound = false;
+    if (effective_timeout_ms_ > 0) {
+      const int remaining = remaining_ms();
+      if (remaining <= 0) throw deadline_error();
+      if (remaining < timeout) {
+        timeout = remaining;
+        deadline_bound = true;
+      }
+    }
+    std::optional<Frame> frame;
+    try {
+      frame = read_frame(sock_, server_.options_.max_frame_bytes, timeout,
+                         &slot_.cancel);
+    } catch (const WireError& e) {
+      // When the request deadline (not the per-frame io deadline) was the
+      // binding bound, a silent peer is abandoned work: count it and name
+      // the deadline in the typed error.
+      if (!deadline_bound || e.code() != WireErrorCode::kTimeout) throw;
+      throw deadline_error();
+    }
+    digest_.upload_wait_seconds += upload_timer.seconds();
+    if (!frame.has_value()) {
+      throw WireError(WireErrorCode::kClosed, "peer disconnected mid-request");
+    }
+    const std::size_t n = frame->payload.size();
+    digest_.upload_bytes += n;
+    server_.bytes_received_.fetch_add(n, std::memory_order_relaxed);
+    serve_metrics().bytes_rx.inc(n);
+    const std::uint64_t conn_rx =
+        slot_.rx_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+    const std::uint64_t budget = server_.options_.max_connection_bytes;
+    if (budget > 0 && conn_rx > budget) {
+      server_.evictions_total_.fetch_add(1, std::memory_order_relaxed);
+      serve_metrics().evictions_total.inc();
+      throw WireError(WireErrorCode::kEvicted,
+                      "connection exceeded its " + std::to_string(budget) +
+                          "-byte receive budget");
+    }
+    return std::move(*frame);
+  }
+
+  void send(FrameType type, std::string_view payload) override {
+    write_frame(sock_, type, payload, server_.options_.io_timeout_ms,
+                &slot_.cancel);
+    server_.bytes_sent_.fetch_add(payload.size(), std::memory_order_relaxed);
+    serve_metrics().bytes_tx.inc(payload.size());
+    digest_.result_bytes += payload.size();
+  }
+
+  int wait_budget_ms() override {
+    if (effective_timeout_ms_ <= 0) return server_.options_.io_timeout_ms;
+    const int remaining = remaining_ms();
+    if (remaining <= 0) throw deadline_error();
+    return remaining;
+  }
+
+  const std::atomic<bool>* cancel() const override { return &slot_.cancel; }
+
+  RequestDigest& digest() override { return digest_; }
+
+  /// Sends the SAM bytes still buffered and surfaces a send failure the
+  /// sink latched while the backend was writing.
+  void finish_sam() {
+    if (!sam_sink_) return;
+    sam_sink_->flush_frames();
+    sam_sink_->rethrow_if_failed();
+  }
+
+ private:
+  int remaining_ms() const {
+    return effective_timeout_ms_ -
+           static_cast<int>(request_timer_.seconds() * 1000.0);
+  }
+
+  WireError deadline_error() {
+    server_.count_deadline_abandoned();
+    return WireError(WireErrorCode::kTimeout,
+                     "request exceeded the " +
+                         std::to_string(effective_timeout_ms_) + " ms " +
+                         (client_tighter_ ? "client-requested" : "server") +
+                         " deadline");
+  }
+
+  MappingServer& server_;
+  Socket& sock_;
+  ConnectionSlot& slot_;
+  const MapBeginInfo& begin_;
+  RequestDigest& digest_;
+  const Timer& request_timer_;
+  const int effective_timeout_ms_;
+  const bool client_tighter_;
+  std::optional<FrameSinkBuf> sam_sink_;
+  std::optional<std::ostream> sam_stream_;
+  std::unique_ptr<ChunkSourceBuf> chunk_buf_;
+  std::unique_ptr<std::istream> fastq_text_;
+  std::unique_ptr<FastqReadStream> reads_;
+};
+
 bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
                                const MapBeginInfo& begin) {
   const std::uint64_t req_id =
@@ -816,7 +1118,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
 
   // The digest outlives every outcome below: finish_digest records it in
   // the recent-requests ring and emits the structured request_digest line
-  // whether the request completed, was refused BUSY, or died with an error.
+  // whether the request completed or died with an error.
   RequestDigest digest;
   digest.request_id = req_id;
   digest.conn_id = slot.conn_id;
@@ -826,6 +1128,15 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     digest.error_code = error_code;
     digest.total_seconds = request_timer.seconds();
     digests_.push(digest);
+    std::ostringstream routed;
+    if (digest.shards > 0) {
+      routed << " shards=" << digest.shards
+             << " shard_s_max=" << digest.shard_seconds_max
+             << " fanout_wait_s=" << digest.fanout_wait_seconds
+             << " merge_s=" << digest.merge_seconds
+             << " shard_index_load_s_max="
+             << digest.shard_index_load_seconds_max;
+    }
     GNUMAP_LOG(kInfo) << "serve: request_digest conn=" << digest.conn_id
                       << " req=" << digest.request_id << " trace="
                       << (digest.trace_id != 0 ? trace_id_hex(digest.trace_id)
@@ -848,7 +1159,15 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
                       << " calls=" << digest.calls
                       << " phmm_cells=" << digest.phmm_cells
                       << " gcups=" << digest.gcups
-                      << " fp32_recomputed=" << digest.fp32_recomputed;
+                      << " fp32_recomputed=" << digest.fp32_recomputed
+                      << routed.str();
+  };
+  const auto refuse_busy = [&](std::uint32_t retry_ms,
+                               const std::string& msg) {
+    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+    serve_metrics().rejected_total.inc();
+    write_frame(sock, FrameType::kBusy, encode_busy(retry_ms, msg),
+                options_.io_timeout_ms, &slot.cancel);
   };
 
   if (stopping()) {
@@ -864,15 +1183,11 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
   Timer admission_timer;
   const std::uint64_t window = request_window_reads();
   if (!admission_.try_acquire(slot.conn_id, window)) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().rejected_total.inc();
-    write_frame(sock, FrameType::kBusy,
-                encode_busy(busy_retry_hint(),
-                            "admission window full (" +
-                                std::to_string(admission_.admitted()) + "/" +
-                                std::to_string(admission_.capacity()) +
-                                " reads in flight)"),
-                options_.io_timeout_ms, &slot.cancel);
+    refuse_busy(busy_retry_hint(),
+                "admission window full (" +
+                    std::to_string(admission_.admitted()) + "/" +
+                    std::to_string(admission_.capacity()) +
+                    " reads in flight)");
     return true;
   }
   digest.admission_wait_seconds = admission_timer.seconds();
@@ -895,9 +1210,9 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
   // cannot admit right now is a capacity signal: typed kEvicted with a
   // retry-after hint, connection stays open, the client retries like BUSY.
   // A damaged index file is the server's problem, not the client's.
-  fleet::GenomeLease lease;
+  std::unique_ptr<MapJob> job;
   try {
-    lease = registry_->acquire(begin.genome_id);
+    job = backend_->open(begin);
   } catch (const fleet::UnknownGenomeError& e) {
     requests_rejected_.fetch_add(1, std::memory_order_relaxed);
     serve_metrics().rejected_total.inc();
@@ -913,31 +1228,28 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     send_error(sock, WireErrorCode::kInternal, who + e.what());
     return false;
   }
-  who.insert(who.size() - 2, " genome " + lease->id);
-  digest.genome_id = lease->id;
+  who.insert(who.size() - 2, " genome " + job->genome_id);
+  digest.genome_id = job->genome_id;
 
   // Per-genome admission rides on top of the global window, so one hot
   // genome's burst cannot starve requests against the others.
-  if (!lease->admission->try_acquire(slot.conn_id, window)) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().rejected_total.inc();
-    write_frame(sock, FrameType::kBusy,
-                encode_busy(busy_retry_hint(),
-                            "genome \"" + lease->id +
-                                "\" admission window full (" +
-                                std::to_string(lease->admission->admitted()) +
-                                "/" +
-                                std::to_string(lease->admission->capacity()) +
-                                " reads in flight)"),
-                options_.io_timeout_ms, &slot.cancel);
+  if (job->admission != nullptr &&
+      !job->admission->try_acquire(slot.conn_id, window)) {
+    refuse_busy(busy_retry_hint(),
+                "genome \"" + job->genome_id + "\" admission window full (" +
+                    std::to_string(job->admission->admitted()) + "/" +
+                    std::to_string(job->admission->capacity()) +
+                    " reads in flight)");
     return true;
   }
   struct GenomeRelease {
-    AdmissionController& admission;
+    AdmissionController* admission;
     int conn_id;
     std::uint64_t window;
-    ~GenomeRelease() { admission.release(conn_id, window); }
-  } genome_release{*lease->admission, slot.conn_id, window};
+    ~GenomeRelease() {
+      if (admission != nullptr) admission->release(conn_id, window);
+    }
+  } genome_release{job->admission, slot.conn_id, window};
 
   // Effective deadline: the tighter of the server's own cap and what the
   // client asked for in MAP_BEGIN (0 = no client deadline).
@@ -952,7 +1264,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
   }
 
   // Publish the in-flight request to the watchdog: the deadline holds even
-  // when this thread is wedged in a blocking send.
+  // when this thread is wedged in a blocking send or a shard wait.
   struct RequestScope {
     ConnectionSlot& slot;
     RequestScope(ConnectionSlot& s, int deadline_ms) : slot(s) {
@@ -968,8 +1280,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
 
   requests_total_.fetch_add(1, std::memory_order_relaxed);
   serve_metrics().requests_total.inc();
-  const bool want_sam = (flags & kFlagWantSam) != 0;
-  const int phred_offset = (flags & kFlagPhred64) != 0 ? kPhred64 : kPhred33;
+  const bool shard_partials = (flags & kFlagShardPartials) != 0;
 
   obs::TraceSpan span("serve_request", "serve", "conn",
                       static_cast<double>(slot.conn_id), "req",
@@ -979,144 +1290,32 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
   span.set_id(begin.trace_id);
 
   try {
-    if ((flags & kFlagShardPartials) != 0) {
-      // Shard-partial mode: the peer is a fleet router, not an end client.
-      // No SAM, no TSV, no epilogue — just raw candidates per read.
-      if (want_sam) {
-        throw WireError(WireErrorCode::kProtocol,
-                        "shard-partials requests cannot also request SAM");
-      }
-      MapStats shard_stats;
-      handle_shard_map(sock, slot, lease, shard_stats, effective_timeout_ms);
-      reads_total_.fetch_add(shard_stats.reads_total,
-                             std::memory_order_relaxed);
-      digest.reads_total = shard_stats.reads_total;
-      digest.phmm_cells = shard_stats.dp_cells;
-      serve_metrics().request_seconds.observe(request_timer.seconds());
-      finish_digest(0);
+    if (shard_partials && (flags & kFlagWantSam) != 0) {
+      throw WireError(WireErrorCode::kProtocol,
+                      "shard-partials requests cannot also request SAM");
+    }
+    RequestIo io(*this, sock, slot, begin, digest, request_timer,
+                 effective_timeout_ms, client_tighter);
+    if (std::optional<BusyReply> busy = job->prepare(io)) {
+      refuse_busy(busy->retry_after_ms, busy->message);
       return true;
     }
-
     write_frame(sock, FrameType::kMapGo, "", options_.io_timeout_ms,
                 &slot.cancel);
 
-    // The wire -> pipeline seam: READS_CHUNK frames are pulled off the
-    // socket only as the pipeline's decoder wants more bytes, so the
-    // BatchQueue's backpressure reaches all the way back to the client.
-    bool saw_end = false;
-    ChunkSourceBuf chunk_buf([&](std::string& chunk) -> bool {
-      if (saw_end) return false;
-      // Upload accounting: this lambda runs on the pipeline's decoder
-      // thread, which run() joins before returning — the handler thread
-      // reads the digest fields only after that, so plain writes are safe.
-      Timer upload_timer;
-      int timeout = options_.io_timeout_ms;
-      bool deadline_bound = false;
-      if (effective_timeout_ms > 0) {
-        const int remaining =
-            effective_timeout_ms -
-            static_cast<int>(request_timer.seconds() * 1000.0);
-        if (remaining <= 0) {
-          deadline_abandoned_total_.fetch_add(1, std::memory_order_relaxed);
-          serve_metrics().deadline_abandoned_total.inc();
-          throw WireError(WireErrorCode::kTimeout,
-                          "request exceeded the " +
-                              std::to_string(effective_timeout_ms) + " ms " +
-                              (client_tighter ? "client-requested"
-                                              : "server") +
-                              " deadline");
-        }
-        if (remaining < timeout) {
-          timeout = remaining;
-          deadline_bound = true;
-        }
-      }
-      std::optional<Frame> frame;
-      try {
-        frame = read_frame(sock, options_.max_frame_bytes, timeout,
-                           &slot.cancel);
-      } catch (const WireError& e) {
-        // When the request deadline (not the per-frame io deadline) was
-        // the binding bound, a silent peer is abandoned work: count it and
-        // name the deadline in the typed error.
-        if (!deadline_bound || e.code() != WireErrorCode::kTimeout) throw;
-        deadline_abandoned_total_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().deadline_abandoned_total.inc();
-        throw WireError(WireErrorCode::kTimeout,
-                        "request exceeded the " +
-                            std::to_string(effective_timeout_ms) + " ms " +
-                            (client_tighter ? "client-requested" : "server") +
-                            " deadline");
-      }
-      digest.upload_wait_seconds += upload_timer.seconds();
-      if (!frame.has_value()) {
-        throw WireError(WireErrorCode::kClosed,
-                        "peer disconnected mid-request");
-      }
-      if (frame->type == FrameType::kMapEnd) {
-        saw_end = true;
-        return false;
-      }
-      if (frame->type != FrameType::kReadsChunk) {
-        throw WireError(WireErrorCode::kProtocol,
-                        "expected READS_CHUNK or MAP_END, got type " +
-                            std::to_string(static_cast<int>(frame->type)));
-      }
-      digest.upload_bytes += frame->payload.size();
-      bytes_received_.fetch_add(frame->payload.size(),
-                                std::memory_order_relaxed);
-      serve_metrics().bytes_rx.inc(frame->payload.size());
-      const std::uint64_t conn_rx =
-          slot.rx_bytes.fetch_add(frame->payload.size(),
-                                  std::memory_order_relaxed) +
-          frame->payload.size();
-      if (options_.max_connection_bytes > 0 &&
-          conn_rx > options_.max_connection_bytes) {
-        evictions_total_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().evictions_total.inc();
-        throw WireError(WireErrorCode::kEvicted,
-                        "connection exceeded its " +
-                            std::to_string(options_.max_connection_bytes) +
-                            "-byte receive budget");
-      }
-      chunk = std::move(frame->payload);
-      return true;
-    });
-    std::istream fastq_text(&chunk_buf);
-    // istream operations swallow streambuf exceptions into badbit, which
-    // getline reports as plain EOF — a WireError thrown mid-upload (timeout,
-    // oversized frame, disconnect) would silently truncate the batch and be
-    // answered with MAP_DONE.  With badbit in the exception mask, getline
-    // rethrows the original exception and the typed-error paths below apply.
-    fastq_text.exceptions(std::ios::badbit);
-    FastqReadStream reads(fastq_text, lease->session->config().stream_batch,
-                          phred_offset, "<wire>");
+    const PipelineResult result = job->run(io);
+    io.finish_sam();
 
-    FrameSinkBuf sam_sink(sock, FrameType::kResultSam,
-                          options_.io_timeout_ms, bytes_sent_,
-                          &digest.result_bytes, &slot.cancel);
-    std::ostream sam_stream(&sam_sink);
-
-    const PipelineResult result =
-        lease->session->run(reads, nullptr, want_sam ? &sam_stream : nullptr);
-    if (want_sam) {
-      sam_sink.flush_frames();
-      sam_sink.rethrow_if_failed();
-    }
-
-    // SNP calls: byte-identical to the offline CLI's --out file.  Rendered
-    // with the locale-independent append API straight into the frame
-    // buffer — no ostream between the calls and the socket.
-    std::string tsv_text;
-    append_snps_tsv(tsv_text, result.calls);
-    for (std::size_t off = 0; off < tsv_text.size(); off += kChunkBytes) {
-      const std::size_t n = std::min(kChunkBytes, tsv_text.size() - off);
-      write_frame(sock, FrameType::kResultTsv,
-                  std::string_view(tsv_text).substr(off, n),
-                  options_.io_timeout_ms, &slot.cancel);
-      bytes_sent_.fetch_add(n, std::memory_order_relaxed);
-      serve_metrics().bytes_tx.inc(n);
-      digest.result_bytes += n;
+    if (!shard_partials) {
+      // SNP calls: byte-identical to the offline CLI's --out file.
+      // Rendered with the locale-independent append API straight into the
+      // frame buffer — no ostream between the calls and the socket.
+      std::string tsv_text;
+      append_snps_tsv(tsv_text, result.calls);
+      for (std::size_t off = 0; off < tsv_text.size(); off += kChunkBytes) {
+        const std::size_t n = std::min(kChunkBytes, tsv_text.size() - off);
+        io.send(FrameType::kResultTsv, std::string_view(tsv_text).substr(off, n));
+      }
     }
 
     reads_total_.fetch_add(result.stats.reads_total,
@@ -1140,43 +1339,11 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
                        ? static_cast<double>(result.stats.dp_cells) /
                              kernel_seconds / 1e9
                        : 0.0;
+    digest.total_seconds = request_timer.seconds();
 
-    // MAP_DONE: the per-stage timing summary mirrors the digest, so a v3
-    // client sees where its request's time went without scraping anything.
-    // v2 clients parse key=value lines and ignore keys they don't know.
-    std::string done;
-    done += u64_kv("reads_total", result.stats.reads_total);
-    done += u64_kv("reads_mapped", result.stats.reads_mapped);
-    done += u64_kv("calls", result.calls.size());
-    done += u64_kv("batches", result.batches_decoded);
-    done += u64_kv("in_flight_peak", result.reads_in_flight_peak);
-    done += u64_kv("window_reads", window);
-    done += "map_seconds=" + std::to_string(result.map_seconds) + "\n";
-    done += dbl_kv("total_seconds", request_timer.seconds());
-    done += dbl_kv("admission_wait_seconds", digest.admission_wait_seconds);
-    done += dbl_kv("upload_wait_seconds", digest.upload_wait_seconds);
-    done += dbl_kv("decode_seconds", digest.decode_seconds);
-    done += dbl_kv("map_stage_seconds", digest.map_stage_seconds);
-    // drain_seconds (the format+splice sum) predates the worker-format
-    // refactor; v2/v3 clients already parse it, so it stays alongside the
-    // split keys.
-    done += dbl_kv("drain_seconds", digest.drain_seconds());
-    done += dbl_kv("format_seconds", digest.format_seconds);
-    done += dbl_kv("splice_seconds", digest.splice_seconds);
-    done += dbl_kv("call_seconds", digest.call_seconds);
-    done += u64_kv("upload_bytes", digest.upload_bytes);
-    done += u64_kv("result_bytes", digest.result_bytes);
-    done += u64_kv("phmm_cells", digest.phmm_cells);
-    done += dbl_kv("gcups", digest.gcups);
-    done += u64_kv("fp32_recomputed", digest.fp32_recomputed);
-    done += "genome_id=" + lease->id + "\n";
-    done += dbl_kv("index_load_seconds", lease->index_load_seconds);
-    if (begin.trace_id != 0) {
-      done += "trace_id=" + trace_id_hex(begin.trace_id) + "\n";
-      done += "parent_span_id=" + trace_id_hex(begin.parent_span_id) + "\n";
-    }
-    write_frame(sock, FrameType::kMapDone, done, options_.io_timeout_ms,
-                &slot.cancel);
+    write_frame(sock, FrameType::kMapDone,
+                map_done_text(result, digest, *job, begin, window),
+                options_.io_timeout_ms, &slot.cancel);
 
     serve_metrics().request_seconds.observe(request_timer.seconds());
     finish_digest(0);
@@ -1206,73 +1373,6 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     finish_digest(static_cast<std::uint16_t>(WireErrorCode::kInternal));
     return false;
   }
-}
-
-void MappingServer::handle_shard_map(Socket& sock, ConnectionSlot& slot,
-                                     const fleet::GenomeLease& lease,
-                                     MapStats& stats,
-                                     int effective_timeout_ms) {
-  Timer request_timer;
-  write_frame(sock, FrameType::kMapGo, "", options_.io_timeout_ms,
-              &slot.cancel);
-
-  // One workspace for the whole request: SHARD_READS batches arrive in
-  // order and are scored synchronously on this thread with the scalar
-  // double kernel — partials must be independent of this daemon's SIMD
-  // and precision settings (read_mapper.hpp, score_reads_raw).
-  MapperWorkspace ws;
-  for (;;) {
-    int timeout = options_.io_timeout_ms;
-    if (effective_timeout_ms > 0) {
-      const int remaining =
-          effective_timeout_ms -
-          static_cast<int>(request_timer.seconds() * 1000.0);
-      if (remaining <= 0) {
-        deadline_abandoned_total_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().deadline_abandoned_total.inc();
-        throw WireError(WireErrorCode::kTimeout,
-                        "shard request exceeded the " +
-                            std::to_string(effective_timeout_ms) +
-                            " ms deadline");
-      }
-      timeout = std::min(timeout, remaining);
-    }
-    std::optional<Frame> frame =
-        read_frame(sock, options_.max_frame_bytes, timeout, &slot.cancel);
-    if (!frame.has_value()) {
-      throw WireError(WireErrorCode::kClosed,
-                      "router disconnected mid-request");
-    }
-    if (frame->type == FrameType::kMapEnd) break;
-    if (frame->type != FrameType::kShardReads) {
-      throw WireError(WireErrorCode::kProtocol,
-                      "expected SHARD_READS or MAP_END, got type " +
-                          std::to_string(static_cast<int>(frame->type)));
-    }
-    bytes_received_.fetch_add(frame->payload.size(),
-                              std::memory_order_relaxed);
-    serve_metrics().bytes_rx.inc(frame->payload.size());
-
-    const std::vector<Read> reads = fleet::deserialize_reads(frame->payload);
-    const auto partials = lease->session->mapper().score_reads_raw(
-        reads, ws, stats, lease->core_begin, lease->core_end);
-    const std::string out = fleet::serialize_partials(partials);
-    write_frame(sock, FrameType::kResultPartial, out, options_.io_timeout_ms,
-                &slot.cancel);
-    bytes_sent_.fetch_add(out.size(), std::memory_order_relaxed);
-    serve_metrics().bytes_tx.inc(out.size());
-  }
-
-  std::string done;
-  done += u64_kv("reads_total", stats.reads_total);
-  done += u64_kv("candidates_evaluated", stats.candidates_evaluated);
-  done += u64_kv("phmm_cells", stats.dp_cells);
-  done += "genome_id=" + lease->id + "\n";
-  done += dbl_kv("index_load_seconds", lease->index_load_seconds);
-  done += u64_kv("shard_core_begin", lease->core_begin);
-  done += u64_kv("shard_core_end", lease->core_end);
-  write_frame(sock, FrameType::kMapDone, done, options_.io_timeout_ms,
-              &slot.cancel);
 }
 
 }  // namespace gnumap::serve

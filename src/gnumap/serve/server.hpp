@@ -1,16 +1,24 @@
-// The long-lived mapping server behind gnumapd.
+// The one serving front end behind gnumapd.
 //
-// A MappingServer owns one MappingSession — the genome and hash index are
-// built at construction and stay hot for the process lifetime — plus a TCP
-// listener and one handler thread per connection.  Each MAP request feeds
-// the wire's READS_CHUNK frames through a ChunkSourceBuf-backed
-// FastqReadStream straight into the staged pipeline, so socket reads are
-// pulled by the pipeline's decoder with its normal backpressure, and the
-// admission window (admission.hpp) bounds total in-flight reads across all
-// concurrent requests; requests that do not fit are answered BUSY with a
-// queue-depth-scaled retry hint.  Results stream back as RESULT_* frames
+// A MappingServer owns a TCP listener, one handler thread per connection,
+// and everything around a MAP request; the request body itself runs on a
+// MapBackend (map_backend.hpp).  Two backends exist:
+//
+//   * local: one or more resident MappingSessions in a GenomeRegistry —
+//     the genome and hash index are built (or mmap-loaded) once and stay
+//     hot.  READS_CHUNK frames feed a ChunkSourceBuf-backed
+//     FastqReadStream straight into the staged pipeline, so socket reads
+//     are pulled by the pipeline's decoder with its normal backpressure.
+//   * shard fan-out (ServeOptions::route_shards, gnumapd --route): the
+//     genome is split across shard daemons; each decoded batch is fanned
+//     out and the per-read partials are merged (fleet/router.hpp).  No
+//     index is built.
+//
+// The admission window (admission.hpp) bounds total in-flight reads across
+// all concurrent requests; requests that do not fit are answered BUSY with
+// a queue-depth-scaled retry hint.  Results stream back as RESULT_* frames
 // whose concatenated bytes are identical to the offline CLI's outputs for
-// the same input.
+// the same input, whichever backend serves them.
 //
 // Robustness: malformed, corrupt (CRC), or oversized frames, FASTQ parse
 // failures, and idle peers get a typed ERROR frame and a closed connection
@@ -18,11 +26,12 @@
 // tighter of the server's request_timeout_ms and the client's MAP_BEGIN
 // deadline; a watchdog thread evicts connections stalled past that
 // deadline (a peer that stopped reading results can otherwise pin a
-// handler in send) and connections over their lifetime budget.
-// request_stop() (wired to SIGINT/SIGTERM by gnumapd, or to the SHUTDOWN
-// frame) drains: the listener stops accepting, in-flight requests finish,
-// idle connections close, then wait() returns.  HEALTH probes — allowed
-// even before HELLO — report readiness without consuming a request slot.
+// handler in send; a wedged shard can otherwise pin a router handler) and
+// connections over their lifetime budget.  request_stop() (wired to
+// SIGINT/SIGTERM by gnumapd, or to the SHUTDOWN frame) drains: the
+// listener stops accepting, in-flight requests finish, idle connections
+// close, then wait() returns.  HEALTH probes — allowed even before HELLO —
+// report readiness without consuming a request slot.
 //
 // Chaos drills: ServeOptions::fault_plan (gnumapd --fault-plan /
 // GNUMAP_WIRE_FAULT_PLAN) attaches a fresh deterministic fault injector
@@ -45,18 +54,19 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "gnumap/core/config.hpp"
-#include "gnumap/core/session.hpp"
 #include "gnumap/fleet/registry.hpp"
 #include "gnumap/genome/genome.hpp"
 #include "gnumap/serve/admission.hpp"
 #include "gnumap/serve/digest.hpp"
 #include "gnumap/serve/fault_shim.hpp"
+#include "gnumap/serve/map_backend.hpp"
 #include "gnumap/serve/socket.hpp"
 #include "gnumap/serve/wire.hpp"
 #include "gnumap/util/timer.hpp"
@@ -64,6 +74,12 @@
 namespace gnumap::serve {
 
 class AdminHttpServer;
+
+/// One shard daemon a router fans out to.
+struct ShardAddress {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+};
 
 struct ServeOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
@@ -125,6 +141,12 @@ struct ServeOptions {
   int shard_count = 0;
   /// Longest read the shard overlap margin must absorb.
   std::uint32_t shard_max_read_len = 512;
+
+  // --- deployment ---
+  /// Router mode: the shard daemons this server fans every request out to
+  /// (empty = map locally).  A router builds no index; it needs the genome
+  /// only for SAM records and SNP calling.  See fleet/router.hpp.
+  std::vector<ShardAddress> route_shards;
 };
 
 /// Rolled-up service counters (also exported as gnumap_serve_* metrics;
@@ -145,10 +167,11 @@ struct ServerStats {
 
 class MappingServer {
  public:
-  /// Builds the resident session (the expensive index build happens here)
-  /// and binds the listener; throws on bind failure.  `genome` must
-  /// outlive the server.  The genome is registered under the id "default"
-  /// and pinned (never evicted).
+  /// Serves one genome, which must outlive the server.  Without
+  /// route_shards the genome's index is built here (the expensive part) and
+  /// registered under the id "default", pinned; with route_shards the
+  /// server is a router over those shards and builds no index.  Binds the
+  /// listener; throws on bind failure.
   MappingServer(const Genome& genome, const PipelineConfig& config,
                 const ServeOptions& options);
 
@@ -158,6 +181,11 @@ class MappingServer {
   /// when the constructor returns — the fleet instant-start contract when
   /// the spec points at an mmap index file).
   MappingServer(std::vector<fleet::GenomeSpec> genomes,
+                const PipelineConfig& config, const ServeOptions& options);
+
+  /// Serves requests on any backend (the two constructors above delegate
+  /// here; tests may pass a fake).
+  MappingServer(std::unique_ptr<MapBackend> backend,
                 const PipelineConfig& config, const ServeOptions& options);
   ~MappingServer();
 
@@ -184,23 +212,11 @@ class MappingServer {
     return stop_.load(std::memory_order_relaxed);
   }
 
-  /// Genome facts for the daemon's default genome, snapshotted at
-  /// startup.  The server holds no lease, so the default genome stays
-  /// evictable under a registry memory budget; bases/entries are
-  /// immutable per genome so the snapshot never goes stale.
-  std::uint64_t default_genome_bases() const { return default_genome_bases_; }
-  std::uint64_t default_index_entries() const {
-    return default_index_entries_;
-  }
-
-  /// The genome registry behind this daemon.
-  const fleet::GenomeRegistry& registry() const { return *registry_; }
-
   /// Snapshot of the rolled-up counters.
   ServerStats stats() const;
 
   /// Worst-case in-flight reads one request reserves from the admission
-  /// window: the staged pipeline's documented peak for this config.
+  /// window: in_flight_bound_reads() of this server's config.
   std::uint64_t request_window_reads() const;
 
   /// The admin endpoint's bound port, or -1 when ServeOptions::admin_port
@@ -228,12 +244,13 @@ class MappingServer {
   std::string stats_text() const;
   std::string health_text() const;
 
-  /// The /statusz JSON document: build identity, genome/session facts,
-  /// admission occupancy, rolled-up counters, and the connection table.
+  /// The /statusz JSON document: build identity, backend facts, admission
+  /// occupancy, rolled-up counters, and the connection table.
   std::string statusz_json() const;
 
  private:
   struct ConnectionSlot;
+  class RequestIo;
 
   void accept_loop();
   /// Scans live connections every ~100 ms: cancels idle connections once a
@@ -244,17 +261,12 @@ class MappingServer {
   void watchdog_loop();
   void handle_connection(Socket sock, ConnectionSlot& slot);
   /// One MAP transaction after its MAP_BEGIN frame; returns false when the
-  /// connection should close.  Resolves the genome id against the registry
-  /// (kProtocol for unknown ids, kEvicted + retry hint when the budget
-  /// refuses) and dispatches shard-partial requests to handle_shard_map.
+  /// connection should close.  Admits the request, resolves its genome on
+  /// the backend (kProtocol for unknown ids, kEvicted + retry hint when
+  /// the budget refuses), runs the backend's setup and body under the
+  /// request deadline, and writes the response and MAP_DONE.
   bool handle_map(Socket& sock, ConnectionSlot& slot,
                   const MapBeginInfo& begin);
-  /// The kFlagShardPartials request body: SHARD_READS batches scored with
-  /// score_reads_raw over the shard's core diagonal range, answered with
-  /// RESULT_PARTIAL frames (fleet/partials.hpp).  Runs after MAP_GO.
-  void handle_shard_map(Socket& sock, ConnectionSlot& slot,
-                        const fleet::GenomeLease& lease, MapStats& stats,
-                        int effective_timeout_ms);
   void send_error(Socket& sock, WireErrorCode code, const std::string& msg);
   /// Maps a watchdog cancellation on `slot` to the typed error the peer
   /// should see (eviction, abandoned deadline, or plain drain).
@@ -263,14 +275,12 @@ class MappingServer {
   /// BUSY retry hint scaled by how many request windows are already
   /// admitted, capped at busy_retry_max_ms.
   std::uint32_t busy_retry_hint() const;
+  /// Counts a request abandoned because its deadline expired.
+  void count_deadline_abandoned();
 
   ServeOptions options_;
-  std::unique_ptr<fleet::GenomeRegistry> registry_;
-  /// Startup snapshot of the default genome (the ctor loads it once and
-  /// releases the lease so a memory budget can still evict it later).
-  std::uint64_t default_genome_bases_ = 0;
-  std::uint64_t default_index_entries_ = 0;
-  double default_index_load_seconds_ = 0.0;
+  PipelineConfig config_;
+  std::unique_ptr<MapBackend> backend_;
   std::unique_ptr<Listener> listener_;
   AdmissionController admission_;
   DigestRing digests_;

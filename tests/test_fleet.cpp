@@ -3,12 +3,15 @@
 // file damage), the multi-genome registry (LRU eviction under a memory
 // budget, typed EvictedError with a retry hint, unknown ids), the wire
 // kEvicted retry loop end to end over real sockets, and the scatter/
-// gather shard router's byte-identity with a single whole-genome daemon.
+// gather shard router: byte-identity with a single whole-genome daemon,
+// the split of a routed request's time, and genome-id resolution.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,7 +20,6 @@
 #include "gnumap/core/pipeline.hpp"
 #include "gnumap/fleet/index_file.hpp"
 #include "gnumap/fleet/registry.hpp"
-#include "gnumap/fleet/router.hpp"
 #include "gnumap/genome/sequence.hpp"
 #include "gnumap/io/fasta.hpp"
 #include "gnumap/io/fastq.hpp"
@@ -32,6 +34,7 @@
 #include "gnumap/sim/read_sim.hpp"
 #include "gnumap/sim/reference_gen.hpp"
 #include "gnumap/util/error.hpp"
+#include "serve_deployment.hpp"
 
 namespace gnumap {
 namespace {
@@ -497,28 +500,16 @@ TEST(Router, ScatterGatherIsByteIdenticalToSingleDaemon) {
   EXPECT_EQ(single_sam, offline.sam);
 
   // Two shard backends, each owning half the genome, plus the router.
-  ServeOptions shard0_options = test_options();
-  shard0_options.shard_index = 0;
-  shard0_options.shard_count = 2;
-  ServeOptions shard1_options = test_options();
-  shard1_options.shard_index = 1;
-  shard1_options.shard_count = 2;
-  MappingServer shard0(w.ref, config, shard0_options);
-  MappingServer shard1(w.ref, config, shard1_options);
-  shard0.start();
-  shard1.start();
-
-  fleet::RouterOptions router_options;
-  router_options.backends.push_back({"127.0.0.1", shard0.port()});
-  router_options.backends.push_back({"127.0.0.1", shard1.port()});
-  fleet::RouterServer router(w.ref, config, router_options);
+  Deployed routed(Deployment::kRouter, w.ref, config, test_options());
+  MappingServer& router = routed.front();
   router.start();
-
   std::string routed_tsv, routed_sam;
   {
     ClientOptions client_options;
     client_options.port = router.port();
     MappingClient client(client_options);
+    EXPECT_NE(client.banner().find("gnumapd-router shards=2"),
+              std::string::npos);
     std::istringstream fastq(w.fastq);
     std::ostringstream tsv, sam;
     const auto outcome = client.map(fastq, tsv, &sam);
@@ -534,14 +525,128 @@ TEST(Router, ScatterGatherIsByteIdenticalToSingleDaemon) {
   EXPECT_EQ(routed_tsv, single_tsv);
   EXPECT_EQ(routed_sam, single_sam);
 
-  router.request_stop();
-  router.wait();
-  shard0.request_stop();
-  shard1.request_stop();
-  shard0.wait();
-  shard1.wait();
   single.request_stop();
   single.wait();
+}
+
+TEST(Router, AttributesRoutedTimeToShardsFanoutAndMerge) {
+  const Workload w = make_workload(16000);
+  const PipelineConfig config = small_config();
+  ServeOptions router_options = test_options();
+  router_options.admin_port = 0;
+  Deployed routed(Deployment::kRouter, w.ref, config, router_options);
+  MappingServer& router = routed.front();
+  router.start();
+
+  ClientOptions client_options;
+  client_options.port = router.port();
+  MappingClient client(client_options);
+  std::istringstream fastq(w.fastq);
+  std::ostringstream tsv, sam;
+  const auto outcome = client.map(fastq, tsv, &sam);
+  ASSERT_FALSE(outcome.busy);
+
+  // Every routed key MAP_DONE had before stays, next to the split of the
+  // request's time into shard work, waiting on shards, and merging.
+  for (const char* key : {"router_shards", "reads_total", "total_seconds",
+                          "phmm_cells", "upload_bytes", "result_bytes"}) {
+    EXPECT_TRUE(outcome.stats.count(key)) << "MAP_DONE missing " << key;
+  }
+  const auto num = [&](const char* key) {
+    return std::stod(outcome.stats.at(key));
+  };
+  EXPECT_GT(num("phmm_cells"), 0.0);
+  EXPECT_GT(num("shard_seconds_max"), 0.0);
+  EXPECT_GT(num("fanout_wait_seconds"), 0.0);
+  EXPECT_GT(num("merge_seconds"), 0.0);
+  EXPECT_GT(num("shard_index_load_seconds_max"), 0.0);
+  EXPECT_LE(num("fanout_wait_seconds") + num("merge_seconds"),
+            num("total_seconds"));
+
+  // The same split reaches the router's digest ring and /tracez.  The
+  // digest is recorded just after MAP_DONE is sent, so wait for it.
+  for (int i = 0; i < 500 && router.digests().total_recorded() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const auto digests = router.digests().snapshot();
+  ASSERT_EQ(digests.size(), 1u);
+  EXPECT_EQ(digests[0].shards, 2u);
+  EXPECT_GT(digests[0].shard_seconds_max, 0.0);
+  EXPECT_GT(digests[0].merge_seconds, 0.0);
+  Socket http = serve::connect_tcp(
+      "127.0.0.1", static_cast<std::uint16_t>(router.admin_port()),
+      5'000);
+  const std::string get = "GET /tracez HTTP/1.0\r\n\r\n";
+  http.send_all(get.data(), get.size(), 5'000);
+  std::string body;
+  char buf[4096];
+  for (std::size_t n; (n = http.recv_some(buf, sizeof buf, 10'000)) != 0;) {
+    body.append(buf, n);
+  }
+  for (const char* key : {"\"router_shards\": 2", "\"shard_seconds_max\"",
+                          "\"fanout_wait_seconds\"", "\"merge_seconds\"",
+                          "\"shard_index_load_seconds_max\""}) {
+    EXPECT_NE(body.find(key), std::string::npos) << key << "\n" << body;
+  }
+}
+
+TEST(Router, GenomeIdItDoesNotHoldIsRefusedNotMisrendered) {
+  // Shards that host two genomes: a router over genome A must not accept a
+  // request naming genome B, whose scores it would render against A.
+  const Workload w = make_workload(16000);
+  const Genome other = make_reference(16000, /*seed=*/7);
+  const PipelineConfig config = small_config();
+  std::vector<fleet::GenomeSpec> specs(2);
+  specs[0].id = "default";
+  specs[0].path = write_genome_fasta(w.ref, temp_path("router_id_a.fa"));
+  specs[1].id = "beta";
+  specs[1].path = write_genome_fasta(other, temp_path("router_id_b.fa"));
+  std::vector<std::unique_ptr<MappingServer>> shards;
+  ServeOptions router_options = test_options();
+  for (int i = 0; i < 2; ++i) {
+    ServeOptions options = test_options();
+    options.shard_index = i;
+    options.shard_count = 2;
+    shards.push_back(std::make_unique<MappingServer>(specs, config, options));
+    shards.back()->start();
+    router_options.route_shards.push_back({"127.0.0.1", shards.back()->port()});
+  }
+  MappingServer router(w.ref, config, router_options);
+  router.start();
+
+  ClientOptions client_options;
+  client_options.port = router.port();
+  client_options.genome_id = "beta";
+  {
+    MappingClient client(client_options);
+    std::istringstream fastq(w.fastq);
+    std::ostringstream tsv;
+    try {
+      client.map(fastq, tsv);
+      FAIL() << "router mapped a genome it does not hold";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.code(), WireErrorCode::kProtocol) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown genome id"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Naming the router's own genome still maps, byte-identically.
+  client_options.genome_id = "default";
+  MappingClient client(client_options);
+  std::istringstream fastq(w.fastq);
+  std::ostringstream tsv;
+  const auto outcome = client.map(fastq, tsv);
+  ASSERT_FALSE(outcome.busy);
+  EXPECT_EQ(outcome.stats.at("genome_id"), "default");
+  EXPECT_EQ(tsv.str(), offline_outputs(w, config).tsv);
+
+  router.request_stop();
+  router.wait();
+  for (auto& shard : shards) {
+    shard->request_stop();
+    shard->wait();
+  }
 }
 
 // ---------------------------------------------------------------------------

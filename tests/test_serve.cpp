@@ -4,7 +4,10 @@
 // disconnect), typed errors for malformed traffic, BUSY under a full
 // admission window, bounded in-flight reads, graceful shutdown, the
 // gnumap_serve_* metrics export, the embedded admin HTTP endpoint, and
-// protocol-v3 trace-id propagation (with v2 interop).
+// protocol-v3 trace-id propagation (with v2 interop).  Every end-to-end
+// case runs twice (serve_deployment.hpp): Serve.* against a single daemon
+// and ServeRouted.* against a router over two shards, where it must end
+// byte-identical or with the same typed error.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,6 +34,7 @@
 #include "gnumap/sim/mutator.hpp"
 #include "gnumap/sim/read_sim.hpp"
 #include "gnumap/sim/reference_gen.hpp"
+#include "serve_deployment.hpp"
 
 namespace gnumap {
 namespace {
@@ -318,12 +322,13 @@ TEST(Admission, ForgetConnectionReleasesItsHoldings) {
 // ---------------------------------------------------------------------------
 // End to end over real sockets
 
-TEST(Serve, ByteIdenticalToOfflinePipeline) {
+DEPLOYMENT_TEST(Serve, ByteIdenticalToOfflinePipeline) {
   const Workload w = make_workload();
   const PipelineConfig config = serve_config();
   const OfflineResult offline = offline_outputs(w, config);
 
-  MappingServer server(w.ref, config, test_options());
+  Deployed deployed(deployment, w.ref, config, test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -351,12 +356,13 @@ TEST(Serve, ByteIdenticalToOfflinePipeline) {
   server.wait();
 }
 
-TEST(Serve, ConcurrentClientsWithMidStreamDisconnect) {
+DEPLOYMENT_TEST(Serve, ConcurrentClientsWithMidStreamDisconnect) {
   const Workload w = make_workload();
   const PipelineConfig config = serve_config();
   const OfflineResult offline = offline_outputs(w, config);
 
-  MappingServer server(w.ref, config, test_options());
+  Deployed deployed(deployment, w.ref, config, test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   // One misbehaving peer vanishes mid-upload while four well-behaved
@@ -428,9 +434,10 @@ TEST(Serve, ConcurrentClientsWithMidStreamDisconnect) {
 // ---------------------------------------------------------------------------
 // Typed errors for malformed traffic
 
-TEST(Serve, RejectsWrongProtocolVersion) {
+DEPLOYMENT_TEST(Serve, RejectsWrongProtocolVersion) {
   const Workload w = make_workload(8000, 1.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   {
@@ -462,9 +469,10 @@ TEST(Serve, RejectsWrongProtocolVersion) {
   server.wait();
 }
 
-TEST(Serve, RejectsNonHelloFirstFrameAndUnknownTypes) {
+DEPLOYMENT_TEST(Serve, RejectsNonHelloFirstFrameAndUnknownTypes) {
   const Workload w = make_workload(8000, 1.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   {
@@ -488,11 +496,12 @@ TEST(Serve, RejectsNonHelloFirstFrameAndUnknownTypes) {
   server.wait();
 }
 
-TEST(Serve, RejectsOversizedFrames) {
+DEPLOYMENT_TEST(Serve, RejectsOversizedFrames) {
   const Workload w = make_workload(8000, 1.0);
   ServeOptions options = test_options();
   options.max_frame_bytes = 4096;
-  MappingServer server(w.ref, serve_config(), options);
+  Deployed deployed(deployment, w.ref, serve_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   Socket sock = serve::connect_tcp("127.0.0.1", server.port(), 5'000);
@@ -511,9 +520,10 @@ TEST(Serve, RejectsOversizedFrames) {
   server.wait();
 }
 
-TEST(Serve, FastqParseFailureReturnsTypedError) {
+DEPLOYMENT_TEST(Serve, FastqParseFailureReturnsTypedError) {
   const Workload w = make_workload(8000, 1.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -532,14 +542,15 @@ TEST(Serve, FastqParseFailureReturnsTypedError) {
   server.wait();
 }
 
-TEST(Serve, TruncatedUploadAtRecordBoundaryIsTypedError) {
+DEPLOYMENT_TEST(Serve, TruncatedUploadAtRecordBoundaryIsTypedError) {
   // Regression: a disconnect mid-upload that lands exactly on a FASTQ
   // record boundary must NOT be treated as a clean end of input — that
   // would map the partial batch and answer MAP_DONE success with silently
   // truncated results.  Half-close keeps our read side open so the reply
   // is observable.
   const Workload w = make_workload(8000, 1.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   Socket sock = raw_hello(server.port());
@@ -575,12 +586,13 @@ TEST(Serve, TruncatedUploadAtRecordBoundaryIsTypedError) {
 // ---------------------------------------------------------------------------
 // Admission over the wire
 
-TEST(Serve, BusyWhenAdmissionWindowHeldThenRecovers) {
+DEPLOYMENT_TEST(Serve, BusyWhenAdmissionWindowHeldThenRecovers) {
   const Workload w = make_workload(8000, 2.0);
   ServeOptions options = test_options();
   options.admission_reads = 1;  // any request fills the window
   options.busy_retry_ms = 10;
-  MappingServer server(w.ref, serve_config(), options);
+  Deployed deployed(deployment, w.ref, serve_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   // Holder: admitted via always-admit-one, then parks without finishing.
@@ -631,6 +643,8 @@ TEST(Serve, BusyWhenAdmissionWindowHeldThenRecovers) {
 TEST(Serve, InFlightReadsBoundedByAdmissionWindow) {
   // Load test: a request over a workload much larger than one window must
   // report an in-flight peak within the reservation it was admitted under.
+  // Daemon only: the peak is the local staged pipeline's; a router holds
+  // one batch at a time and has no pipeline whose bound could slip.
   const Workload w = make_workload(30000, 10.0);
   const PipelineConfig config = serve_config();
   MappingServer server(w.ref, config, test_options());
@@ -657,9 +671,10 @@ TEST(Serve, InFlightReadsBoundedByAdmissionWindow) {
 // ---------------------------------------------------------------------------
 // Shutdown and observability
 
-TEST(Serve, ShutdownFrameDrainsTheServer) {
+DEPLOYMENT_TEST(Serve, ShutdownFrameDrainsTheServer) {
   const Workload w = make_workload(8000, 1.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -671,9 +686,10 @@ TEST(Serve, ShutdownFrameDrainsTheServer) {
   EXPECT_TRUE(server.stopping());
 }
 
-TEST(Serve, StatsAndPrometheusExport) {
+DEPLOYMENT_TEST(Serve, StatsAndPrometheusExport) {
   const Workload w = make_workload();
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -706,9 +722,10 @@ TEST(Serve, StatsAndPrometheusExport) {
 // ---------------------------------------------------------------------------
 // Admin HTTP endpoint
 
-TEST(Serve, AdminDisabledByDefault) {
+DEPLOYMENT_TEST(Serve, AdminDisabledByDefault) {
   const Workload w = make_workload(8000, 1.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
   // No --admin-port means no admin socket exists at all.
   EXPECT_EQ(server.admin_port(), -1);
@@ -716,14 +733,15 @@ TEST(Serve, AdminDisabledByDefault) {
   server.wait();
 }
 
-TEST(Serve, AdminEndpointsServeLiveState) {
+DEPLOYMENT_TEST(Serve, AdminEndpointsServeLiveState) {
   const Workload w = make_workload();
   const PipelineConfig config = serve_config();
   const OfflineResult offline = offline_outputs(w, config);
 
   ServeOptions options = test_options();
   options.admin_port = 0;  // ephemeral
-  MappingServer server(w.ref, config, options);
+  Deployed deployed(deployment, w.ref, config, options);
+  MappingServer& server = deployed.front();
   server.start();
   ASSERT_GT(server.admin_port(), 0);
 
@@ -809,11 +827,12 @@ TEST(Serve, AdminEndpointsServeLiveState) {
   server.wait();
 }
 
-TEST(Serve, TracezCapturesAChromeTrace) {
+DEPLOYMENT_TEST(Serve, TracezCapturesAChromeTrace) {
   const Workload w = make_workload(8000, 2.0);
   ServeOptions options = test_options();
   options.admin_port = 0;
-  MappingServer server(w.ref, serve_config(), options);
+  Deployed deployed(deployment, w.ref, serve_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   obs::set_trace_enabled(false);
@@ -848,9 +867,10 @@ TEST(Serve, TracezCapturesAChromeTrace) {
 // ---------------------------------------------------------------------------
 // Trace-id propagation (protocol v3) and v2 interop
 
-TEST(Serve, TraceIdRoundTripsClientToServer) {
+DEPLOYMENT_TEST(Serve, TraceIdRoundTripsClientToServer) {
   const Workload w = make_workload(8000, 2.0);
-  MappingServer server(w.ref, serve_config(), test_options());
+  Deployed deployed(deployment, w.ref, serve_config(), test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   obs::set_trace_enabled(false);
@@ -901,7 +921,7 @@ TEST(Serve, TraceIdRoundTripsClientToServer) {
   obs::reset_trace();
 }
 
-TEST(Serve, V2ClientStaysByteIdenticalWithoutTraceFields) {
+DEPLOYMENT_TEST(Serve, V2ClientStaysByteIdenticalWithoutTraceFields) {
   // A peer that negotiates protocol v2 sends the 5-byte MAP_BEGIN and must
   // get exactly the pre-v3 behaviour: same result bytes, no trace_id key
   // in MAP_DONE.
@@ -909,7 +929,8 @@ TEST(Serve, V2ClientStaysByteIdenticalWithoutTraceFields) {
   const PipelineConfig config = serve_config();
   const OfflineResult offline = offline_outputs(w, config);
 
-  MappingServer server(w.ref, config, test_options());
+  Deployed deployed(deployment, w.ref, config, test_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   Socket sock = serve::connect_tcp("127.0.0.1", server.port(), 5'000);

@@ -4,6 +4,9 @@
 // retry/backoff accounting, deadline propagation, watchdog eviction,
 // overload shedding, and a concurrent seeded sweep asserting the
 // byte-identity contract survives disconnects, corruption, and stalls.
+// Every live-server case runs twice (serve_deployment.hpp): ChaosServe.*
+// against a single daemon and ChaosServeRouted.* against a router over two
+// shards.
 //
 // Every plan is seeded or literal, so a failure replays exactly; every
 // test must terminate within the suite TIMEOUT even when a fault would
@@ -29,6 +32,7 @@
 #include "gnumap/sim/mutator.hpp"
 #include "gnumap/sim/read_sim.hpp"
 #include "gnumap/sim/reference_gen.hpp"
+#include "serve_deployment.hpp"
 #include "gnumap/util/error.hpp"
 
 namespace gnumap {
@@ -273,9 +277,10 @@ TEST(ChaosInjector, TruncateSwallowsExactlyTheConfiguredBytes) {
 // ---------------------------------------------------------------------------
 // Frame integrity over a live connection
 
-TEST(ChaosServe, CorruptFrameDrawsTypedErrorAndCounter) {
+DEPLOYMENT_TEST(ChaosServe, CorruptFrameDrawsTypedErrorAndCounter) {
   const Workload& w = shared_workload();
-  MappingServer server(w.ref, chaos_config(), chaos_server_options());
+  Deployed deployed(deployment, w.ref, chaos_config(), chaos_server_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   {
@@ -310,12 +315,13 @@ TEST(ChaosServe, CorruptFrameDrawsTypedErrorAndCounter) {
 // ---------------------------------------------------------------------------
 // Backoff and overload shedding
 
-TEST(ChaosServe, ConnectBackoffIsBoundedAndTyped) {
+DEPLOYMENT_TEST(ChaosServe, ConnectBackoffIsBoundedAndTyped) {
   const Workload& w = shared_workload();
   ServeOptions options = chaos_server_options();
   options.max_connections = 1;
   options.busy_retry_ms = 10;
-  MappingServer server(w.ref, chaos_config(), options);
+  Deployed deployed(deployment, w.ref, chaos_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   // One idle client pins the only connection slot.
@@ -366,9 +372,10 @@ TEST(ChaosServe, ConnectBackoffIsBoundedAndTyped) {
 // ---------------------------------------------------------------------------
 // Deadline propagation and eviction
 
-TEST(ChaosServe, ClientDeadlinePropagatesAndAbandonsWork) {
+DEPLOYMENT_TEST(ChaosServe, ClientDeadlinePropagatesAndAbandonsWork) {
   const Workload& w = shared_workload();
-  MappingServer server(w.ref, chaos_config(), chaos_server_options());
+  Deployed deployed(deployment, w.ref, chaos_config(), chaos_server_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   Socket sock = raw_hello(server.port());
@@ -394,11 +401,12 @@ TEST(ChaosServe, ClientDeadlinePropagatesAndAbandonsWork) {
   server.wait();
 }
 
-TEST(ChaosServe, WatchdogEvictsConnectionsPastLifetimeBudget) {
+DEPLOYMENT_TEST(ChaosServe, WatchdogEvictsConnectionsPastLifetimeBudget) {
   const Workload& w = shared_workload();
   ServeOptions options = chaos_server_options();
   options.max_connection_seconds = 0.3;
-  MappingServer server(w.ref, chaos_config(), options);
+  Deployed deployed(deployment, w.ref, chaos_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   // An idle connection outlives its budget: the watchdog cancels it and
@@ -416,11 +424,12 @@ TEST(ChaosServe, WatchdogEvictsConnectionsPastLifetimeBudget) {
   server.wait();
 }
 
-TEST(ChaosServe, ByteBudgetEvictsGreedyUploads) {
+DEPLOYMENT_TEST(ChaosServe, ByteBudgetEvictsGreedyUploads) {
   const Workload& w = shared_workload();
   ServeOptions options = chaos_server_options();
   options.max_connection_bytes = 4096;  // the workload is far larger
-  MappingServer server(w.ref, chaos_config(), options);
+  Deployed deployed(deployment, w.ref, chaos_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -444,9 +453,10 @@ TEST(ChaosServe, ByteBudgetEvictsGreedyUploads) {
 // ---------------------------------------------------------------------------
 // Health probes
 
-TEST(ChaosServe, HealthProbeWorksEvenBeforeHandshake) {
+DEPLOYMENT_TEST(ChaosServe, HealthProbeWorksEvenBeforeHandshake) {
   const Workload& w = shared_workload();
-  MappingServer server(w.ref, chaos_config(), chaos_server_options());
+  Deployed deployed(deployment, w.ref, chaos_config(), chaos_server_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   {
@@ -476,9 +486,10 @@ TEST(ChaosServe, HealthProbeWorksEvenBeforeHandshake) {
 // ---------------------------------------------------------------------------
 // Client-side retry accounting under an injected disconnect
 
-TEST(ChaosServe, ReconnectRetriesIdempotentRequestAndAccountsForIt) {
+DEPLOYMENT_TEST(ChaosServe, ReconnectRetriesIdempotentRequestAndAccountsForIt) {
   const Workload& w = shared_workload();
-  MappingServer server(w.ref, chaos_config(), chaos_server_options());
+  Deployed deployed(deployment, w.ref, chaos_config(), chaos_server_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -510,14 +521,15 @@ TEST(ChaosServe, ReconnectRetriesIdempotentRequestAndAccountsForIt) {
 // ---------------------------------------------------------------------------
 // Server-side fault plan (the gnumapd --fault-plan path)
 
-TEST(ChaosServe, ServerSideFaultPlanCutsEveryConnection) {
+DEPLOYMENT_TEST(ChaosServe, ServerSideFaultPlanCutsEveryConnection) {
   const Workload& w = shared_workload();
   ServeOptions options = chaos_server_options();
   // Every accepted connection gets a fresh injector: the server's 80th
   // transmitted byte (inside HELLO_OK + MAP_GO territory) never arrives,
   // on any connection, so no retry can succeed.
   options.fault_plan = WireFaultPlan::parse("disconnect@80");
-  MappingServer server(w.ref, chaos_config(), options);
+  Deployed deployed(deployment, w.ref, chaos_config(), options);
+  MappingServer& server = deployed.front();
   server.start();
 
   ClientOptions client_options;
@@ -545,9 +557,10 @@ TEST(ChaosServe, ServerSideFaultPlanCutsEveryConnection) {
 // ---------------------------------------------------------------------------
 // Drain with an in-flight upload
 
-TEST(ChaosServe, DrainMidUploadFinishesOrFailsTyped) {
+DEPLOYMENT_TEST(ChaosServe, DrainMidUploadFinishesOrFailsTyped) {
   const Workload& w = shared_workload();
-  MappingServer server(w.ref, chaos_config(), chaos_server_options());
+  Deployed deployed(deployment, w.ref, chaos_config(), chaos_server_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   std::string tsv_result;
@@ -589,9 +602,10 @@ TEST(ChaosServe, DrainMidUploadFinishesOrFailsTyped) {
 // ---------------------------------------------------------------------------
 // Seeded concurrent chaos sweep
 
-TEST(ChaosServe, SeededFaultSweepPreservesByteIdentity) {
+DEPLOYMENT_TEST(ChaosServe, SeededFaultSweepPreservesByteIdentity) {
   const Workload& w = shared_workload();
-  MappingServer server(w.ref, chaos_config(), chaos_server_options());
+  Deployed deployed(deployment, w.ref, chaos_config(), chaos_server_options());
+  MappingServer& server = deployed.front();
   server.start();
 
   // Three concurrent clients, each battering the server with its own

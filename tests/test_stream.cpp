@@ -655,32 +655,6 @@ TEST(StreamPipeline, EightThreadsByteIdenticalIncludingAccumulator) {
   EXPECT_EQ(threaded_result.output_bytes, serial_result.output_bytes);
 }
 
-TEST(StreamPipeline, WorkerFormatMatchesLegacyFormatInDrain) {
-  // A/B the tentpole refactor against the pre-refactor drain: rendering in
-  // the workers and splicing bytes must emit exactly what formatting
-  // inside the drain used to.
-  const Workload w = make_workload();
-  PipelineConfig worker_format = stream_config();
-  worker_format.threads = 4;
-  PipelineConfig legacy = worker_format;
-  legacy.format_in_drain = true;
-
-  std::ostringstream worker_sam, legacy_sam;
-  std::unique_ptr<Accumulator> worker_accum, legacy_accum;
-  const auto worker_result = run_pipeline_with_accumulator(
-      w.ref, w.reads, worker_format, &worker_accum, &worker_sam);
-  const auto legacy_result = run_pipeline_with_accumulator(
-      w.ref, w.reads, legacy, &legacy_accum, &legacy_sam);
-
-  EXPECT_EQ(worker_sam.str(), legacy_sam.str());
-  expect_identical_calls(worker_result.calls, legacy_result.calls);
-  EXPECT_EQ(worker_accum->to_bytes(), legacy_accum->to_bytes());
-  // The legacy path formats inside the drain, so its format time is folded
-  // into splice_seconds; the worker path reports it separately.
-  EXPECT_GT(worker_result.format_seconds, 0.0);
-  EXPECT_EQ(legacy_result.format_seconds, 0.0);
-}
-
 TEST(StreamPipeline, TinyOutputBufferStillByteIdentical) {
   // A byte budget far below one rendered chunk forces maximal blocking in
   // the splicer; the in-order exemption must keep the pipeline live and
@@ -730,11 +704,10 @@ TEST(StreamPipeline, InFlightPeakBoundedIndependentOfDatasetSize) {
   config.threads = 4;
   config.stream_batch = 8;
   config.queue_depth = 2;
-  // Worst case: one batch in the decoder's hands, queue_depth queued,
-  // threads being scored, and queue_depth + threads parked in the reorder
-  // window.
-  const std::uint64_t bound =
-      (2 * (config.queue_depth + 4) + 1) * config.stream_batch;
+  // The documented bound, (2 * (2 + 4) + 1) * 8 = 104 reads here: the
+  // same function serve admission reserves per request.
+  const std::uint64_t bound = in_flight_bound_reads(config);
+  ASSERT_EQ(bound, 104u);
 
   const Workload small = make_workload(15000, 3.0);
   const Workload large = make_workload(15000, 12.0);
